@@ -26,7 +26,6 @@ from .data import (
     DegenerateUserError,
     EmptyDatasetError,
     InteractionDataset,
-    PairBatch,
     RatingsParseError,
     dump_dataset,
     generate_synthetic,
@@ -40,7 +39,6 @@ from .evaluation import (
     UndefinedMetricError,
     UpdateDump,
     dump_target_updates,
-    footprint_counts,
     footprint_stats,
     ndcg_at,
     project_2d,
@@ -58,7 +56,6 @@ from .federation import (
 )
 from .model import (
     ItemEmbeddings,
-    SparseUpdate,
     UserProfile,
     bpr_loss,
     local_train,

@@ -1,9 +1,9 @@
 """Server-side aggregation rules, applied independently per item.
 
-Every rule takes the list of update vectors collected for one item in one
-round (sorted by contributor id before dispatch) and returns a single
-d-vector. The bank-based rule keeps per-item carry-over state between
-rounds.
+Every rule takes the update vectors collected for one item in one round,
+as a list of d-vectors or an (n, d) array (the round engine passes the
+item's rows ordered by contributor id), and returns a single d-vector. The
+bank-based rule keeps per-item carry-over state between rounds.
 """
 from __future__ import annotations
 
@@ -43,7 +43,18 @@ class AggregatorSpec:
 def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
     if len(vectors) == 0:
         raise AggregationError("no vectors to aggregate")
-    return np.stack(vectors)
+    return vectors if isinstance(vectors, np.ndarray) else np.stack(vectors)
+
+
+def _shrink(norms: np.ndarray, limit: float) -> np.ndarray:
+    """Per-row factor limit / norm where the norm exceeds the limit, else 1.
+
+    The quotient is evaluated only where it is used, so a zero row beside a
+    huge limit cannot overflow.
+    """
+    return np.divide(
+        limit, np.maximum(norms, 1e-300), out=np.ones_like(norms), where=norms > limit
+    )
 
 
 def agg_fedavg(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -96,8 +107,7 @@ def agg_clip(vectors: Sequence[np.ndarray], bound: float) -> np.ndarray:
         raise AggregationError("clip bound must be positive")
     stacked = _stack(vectors)
     norms = np.linalg.norm(stacked, axis=1)
-    scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
-    return (stacked * scale[:, None]).sum(axis=0) / len(vectors)
+    return (stacked * _shrink(norms, bound)[:, None]).sum(axis=0) / len(vectors)
 
 
 def agg_hics(
@@ -121,9 +131,7 @@ def agg_hics(
     sparse = np.zeros_like(stacked)
     sparse[:, selected] = stacked[:, selected]
     norms = np.linalg.norm(sparse, axis=1)
-    mean_norm = norms.mean()
-    scale = np.where(norms > mean_norm, mean_norm / np.maximum(norms, 1e-300), 1.0)
-    output = (sparse * scale[:, None]).sum(axis=0) / len(vectors)
+    output = (sparse * _shrink(norms, norms.mean())[:, None]).sum(axis=0) / len(vectors)
 
     bank[selected] -= output[selected] * len(vectors)
     return output, bank
@@ -132,43 +140,38 @@ def agg_hics(
 def aggregate_item(
     spec: AggregatorSpec,
     item_id: int,
-    contributions: Sequence[tuple[int, np.ndarray]],
-    warnings: Optional[list[str]] = None,
+    rows: np.ndarray,
+    warnings: list[str],
 ) -> np.ndarray:
-    """Aggregate one item's contributions under the spec's rule.
+    """Aggregate one item's (n, d) contribution rows under the spec's rule.
 
-    Inputs are sorted by contributor id first so every rule sees a
-    deterministic order. If the rule's preconditions fail for this item's
-    contributor count, the round falls back to the median and a warning is
-    recorded.
+    The caller orders the rows (the round engine by contributor id), so
+    every rule sees a deterministic order. If the rule's preconditions fail
+    for this item's contributor count, the item falls back to the median and
+    one message is appended to ``warnings``.
     """
-    if not contributions:
+    if len(rows) == 0:
         raise AggregationError(f"item {item_id}: no contributions")
-    ordered = sorted(contributions, key=lambda c: c[0])
-    vectors = [v for _, v in ordered]
-    n = len(vectors)
+    n = len(rows)
     try:
         if spec.rule == "fedavg":
-            return agg_fedavg(vectors)
+            return agg_fedavg(rows)
         if spec.rule == "median":
-            return agg_median(vectors)
+            return agg_median(rows)
         if spec.rule == "trimmed_mean":
             beta = spec.trim_beta if spec.trim_beta is not None else max(1, n // 10)
-            return agg_trimmed_mean(vectors, beta)
+            return agg_trimmed_mean(rows, beta)
         if spec.rule == "krum":
-            return agg_krum(vectors, spec.krum_m if spec.krum_m is not None else 0)
+            return agg_krum(rows, spec.krum_m if spec.krum_m is not None else 0)
         if spec.rule == "clip":
-            return agg_clip(vectors, spec.clip_bound)
+            return agg_clip(rows, spec.clip_bound)
         if spec.rule == "hics":
             bank = spec.hics_state.get(item_id)
             if bank is None:
-                bank = np.zeros_like(vectors[0])
-            output, spec.hics_state[item_id] = agg_hics(bank, vectors, spec.hics_z)
+                bank = np.zeros_like(rows[0])
+            output, spec.hics_state[item_id] = agg_hics(bank, rows, spec.hics_z)
             return output
     except AggregationError as exc:
-        message = f"item {item_id}: {spec.rule} degenerate ({exc}); falling back to median"
-        log.warning(message)
-        if warnings is not None:
-            warnings.append(message)
-        return agg_median(vectors)
+        warnings.append(f"item {item_id}: {spec.rule} degenerate ({exc}); falling back to median")
+        return agg_median(rows)
     raise ValueError(f"unknown aggregation rule {spec.rule!r}")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import InteractionDataset
-from .model import ItemEmbeddings, SparseUpdate, UserProfile
+from .model import ItemEmbeddings, UserProfile
 
 BASELINE_KINDS = ("random", "popular", "bandwagon")
 ATTACK_KINDS = ("none",) + BASELINE_KINDS + ("poisonfrs",)
@@ -59,10 +59,7 @@ class PoisonState:
     start_round: int
     snapshot: np.ndarray  # item embeddings at the start round
     popular_set: list[int]
-    base_target: np.ndarray
     scaled_target: np.ndarray
-    scale: float
-    popular_count: int
     filler_count: int
     target_item: int
     noise_std: float = 0.0
@@ -115,15 +112,12 @@ def build_poison_state(
     """Snapshot the broadcast at the attack's start round and fix the target."""
     snapshot = embeddings.matrix.copy()
     popular = estimate_popular(snapshot, config.popular_count)
-    base, scaled = build_target(snapshot, popular, config.scale)
+    _, scaled = build_target(snapshot, popular, config.scale)
     return PoisonState(
         start_round=embeddings.round,
         snapshot=snapshot,
         popular_set=popular,
-        base_target=base,
         scaled_target=scaled,
-        scale=config.scale,
-        popular_count=config.popular_count,
         filler_count=config.filler_count,
         target_item=target_item,
         noise_std=config.noise_std,
@@ -132,36 +126,33 @@ def build_poison_state(
 
 def craft_poisonfrs_update(
     state: PoisonState, current: ItemEmbeddings, rng: np.random.Generator
-) -> SparseUpdate:
-    """One fake user's upload for the current round.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fake user's upload for the current round, as (items, deltas).
 
     Target delta: scaled_target - current target embedding (lands the item
     on the target under plain averaging of fakes alone). Filler delta for a
     drifted item: current - snapshot, re-asserting the drift that got the
     item selected, which stabilizes the filler set across rounds and keeps
-    the fake's total item footprint small. Exact-zero deltas are dropped;
-    Gaussian noise of noise_std is then added independently per entry
-    coordinate when configured.
+    the fake's total item footprint small. Rows are the target, then the
+    fillers by drift. Exact-zero deltas are dropped; Gaussian noise of
+    noise_std is then added independently per entry coordinate when
+    configured.
     """
     if current.round < state.start_round:
         raise ValueError("attack not active before its start round")
-    update: SparseUpdate = {}
-    target_delta = state.scaled_target - current.matrix[state.target_item]
-    if np.any(target_delta != 0.0):
-        update[state.target_item] = target_delta
     fillers = select_fillers(
         state.snapshot, current.matrix, state.filler_count, state.target_item
     )
-    for item in fillers:
-        delta = current.matrix[item] - state.snapshot[item]
-        if np.any(delta != 0.0):
-            update[item] = delta
+    items = np.array([state.target_item, *fillers], dtype=np.int64)
+    deltas = np.vstack((
+        state.scaled_target - current.matrix[state.target_item],
+        current.matrix[items[1:]] - state.snapshot[items[1:]],
+    ))
+    kept = np.any(deltas != 0.0, axis=1)
+    items, deltas = items[kept], deltas[kept]
     if state.noise_std > 0:
-        for item in update:
-            update[item] = update[item] + rng.normal(
-                0.0, state.noise_std, size=update[item].shape
-            )
-    return update
+        deltas = deltas + rng.normal(0.0, state.noise_std, size=deltas.shape)
+    return items, deltas
 
 
 def _popularity_order(dataset: InteractionDataset) -> list[int]:
@@ -266,11 +257,12 @@ class AttackRuntime:
 
     def crafted_updates(
         self, embeddings: ItemEmbeddings, noise_rngs: Sequence[np.random.Generator]
-    ) -> list[tuple[int, SparseUpdate]]:
+    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """One (fake id, items, deltas) upload per fake this round."""
         if self.config.kind != "poisonfrs" or not self.active(embeddings.round):
             return []
         assert self.state is not None
         return [
-            (fake_id, craft_poisonfrs_update(self.state, embeddings, rng))
+            (fake_id, *craft_poisonfrs_update(self.state, embeddings, rng))
             for fake_id, rng in zip(self.fake_ids, noise_rngs)
         ]

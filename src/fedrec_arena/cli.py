@@ -322,11 +322,14 @@ def cmd_aggcheck(args: argparse.Namespace) -> int:
         clip_bound=args.bound,
         hics_z=min(args.z, rows[0].size),
     )
+    warnings: list[str] = []
     try:
-        out = aggregate_item(spec, 0, list(enumerate(rows)))
+        out = aggregate_item(spec, 0, np.stack(rows), warnings)
     except AggregationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for message in warnings:
+        log.warning(message)
     print(",".join(f"{x:.9g}" for x in out))
     return 0
 

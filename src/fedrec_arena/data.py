@@ -54,12 +54,6 @@ class InteractionDataset:
         return counts
 
 
-@dataclass
-class PairBatch:
-    owner: int
-    pairs: list[tuple[int, int]]  # (positive_item, negative_item)
-
-
 _DELIMITERS = ("::", "\t", ",")
 
 
@@ -132,27 +126,26 @@ def leave_one_out_split(dataset: InteractionDataset) -> InteractionDataset:
     return dataset
 
 
-def sample_pairs(profile, num_items: int, rng: np.random.Generator) -> PairBatch:
+def sample_pairs(profile, num_items: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one uniform negative per train item, rejecting the user's own items.
 
-    Negatives avoid the full interaction set and the held-out test item.
-    Deterministic for a given rng state.
+    Returns an (n, 2) array of (positive, negative) items, one row per train
+    item in order. Negatives avoid the full interaction set, which includes
+    the held-out test item. Deterministic for a given rng state.
     """
     forbidden = np.zeros(num_items, dtype=bool)
     forbidden[list(profile.interacted)] = True
-    if profile.test_item is not None:
-        forbidden[profile.test_item] = True
     if int(forbidden.sum()) >= num_items:
         raise DegenerateUserError(f"user {profile.user_id} has no candidate negatives")
-    positives = list(profile.train_items)
-    negatives = np.empty(len(positives), dtype=np.int64)
-    pending = np.arange(len(positives))
+    positives = np.asarray(profile.train_items, dtype=np.int64)
+    negatives = np.empty(positives.size, dtype=np.int64)
+    pending = np.arange(positives.size)
     while pending.size:
         draws = rng.integers(0, num_items, size=pending.size)
         ok = ~forbidden[draws]
         negatives[pending[ok]] = draws[ok]
         pending = pending[~ok]
-    return PairBatch(profile.user_id, [(p, int(n)) for p, n in zip(positives, negatives)])
+    return np.column_stack((positives, negatives))
 
 
 def generate_synthetic(

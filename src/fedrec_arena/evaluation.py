@@ -103,20 +103,6 @@ def ndcg_at(
     return float(sum(gains) / len(gains))
 
 
-def footprint_counts(
-    touched_by_round: Iterable[Mapping[int, Iterable[int]]]
-) -> dict[int, int]:
-    """Distinct updated items per user, accumulated over a stream of rounds.
-
-    Each stream element maps user id -> item ids touched that round (the
-    ledger's per-user contribution keys)."""
-    seen: dict[int, set[int]] = {}
-    for round_map in touched_by_round:
-        for user, items in round_map.items():
-            seen.setdefault(user, set()).update(items)
-    return {u: len(items) for u, items in seen.items()}
-
-
 def footprint_stats(counts: Mapping[int, int], user_ids: Iterable[int]) -> FootprintStats:
     values = np.array([counts.get(u, 0) for u in user_ids], dtype=np.float64)
     if values.size == 0:

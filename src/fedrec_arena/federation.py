@@ -1,5 +1,9 @@
 """Round engine: broadcast, local training, per-item aggregation, timeline.
 
+Each round's uploads form one contribution table: parallel arrays of
+contributor ids, item ids and delta rows, sorted by (item, contributor), so
+every item's contributions are one contiguous block of rows.
+
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round, actor id), so results are bit-identical
 for a fixed seed no matter how users are scheduled or how many worker
@@ -16,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation
-from .aggregation import AggregatorSpec, aggregate_item
+from .aggregation import AggregatorSpec, aggregate_item, log as aggregation_log
 from .attack import AttackConfig, AttackRuntime
 from .data import (
     DegenerateUserError,
@@ -27,7 +31,7 @@ from .data import (
     parse_ratings,
     sample_pairs,
 )
-from .model import ItemEmbeddings, SparseUpdate, UserProfile, local_train
+from .model import ItemEmbeddings, UserProfile, local_train
 
 log = logging.getLogger("fedrec_arena.federation")
 
@@ -112,6 +116,14 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0 < self.participation <= 1:
             raise ValueError("participation must be in (0, 1]")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if any(k < 1 for k in self.topk):
+            raise ValueError("every topk entry must be >= 1")
+        if self.dump_round is not None and not 1 <= self.dump_round <= self.rounds:
+            raise ValueError("dump_round must lie in [1, rounds]")
+        if self.aggregator.rule == "hics" and not 1 <= self.aggregator.hics_z <= self.dim:
+            raise ValueError(f"aggregator hics_z must lie in [1, dim={self.dim}]")
         if self.attack.kind != "none" and self.attack.fake_fraction > 0:
             if not 1 <= self.attack.start_round <= self.rounds:
                 raise ValueError("attack start_round must lie in [1, rounds]")
@@ -120,11 +132,12 @@ class ExperimentConfig:
 @dataclass
 class RoundLedger:
     round: int
-    contributor_counts: dict[int, int]
-    aggregated: dict[int, np.ndarray]
-    touched_by_user: dict[int, tuple[int, ...]]
-    warnings: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+    # the round's contribution index, sorted by (item, contributor): row r
+    # says contributor users[r] uploaded a delta for item items[r]
+    users: np.ndarray
+    items: np.ndarray
+    warnings: list[str]  # one per item that fell back to the median
+    # (contributor, delta) for the target item, kept only at the dump round
     target_contributions: Optional[list[tuple[int, np.ndarray]]] = None
 
 
@@ -192,15 +205,6 @@ def init_embeddings(num_items: int, dim: int, streams: SeedStreams) -> ItemEmbed
     return ItemEmbeddings(round=1, matrix=matrix)
 
 
-def _train_one(profile, embeddings, num_items, learning_rate, rng):
-    try:
-        batch = sample_pairs(profile, num_items, rng)
-    except DegenerateUserError:
-        return None
-    _, update = local_train(profile, embeddings, batch.pairs, learning_rate)
-    return update
-
-
 def run_round(
     embeddings: ItemEmbeddings,
     genuine_profiles: list[UserProfile],
@@ -216,9 +220,7 @@ def run_round(
 
     Items nobody touched carry over bit-identically.
     """
-    started = time.perf_counter()
     round_index = embeddings.round
-    num_items = embeddings.num_items
 
     participants = list(genuine_profiles)
     if attack.active(round_index):
@@ -230,59 +232,58 @@ def run_round(
         )
         participants = [participants[i] for i in sorted(chosen)]
 
-    def step(profile: UserProfile) -> Optional[SparseUpdate]:
-        return _train_one(
-            profile,
-            embeddings,
-            num_items,
-            learning_rate,
-            streams.pairs(round_index, profile.user_id),
-        )
+    def step(profile: UserProfile) -> tuple[int, np.ndarray, np.ndarray]:
+        rng = streams.pairs(round_index, profile.user_id)
+        try:
+            pairs = sample_pairs(profile, embeddings.num_items, rng)
+        except DegenerateUserError:
+            return profile.user_id, np.empty(0, dtype=np.int64), np.empty((0, embeddings.dim))
+        return (profile.user_id, *local_train(profile, embeddings, pairs, learning_rate))
 
     if threads > 1 and len(participants) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(step, participants))
+            uploads = list(pool.map(step, participants))
     else:
-        results = [step(p) for p in participants]
-
-    uploads: list[tuple[int, SparseUpdate]] = [
-        (profile.user_id, update)
-        for profile, update in zip(participants, results)
-        if update
-    ]
+        uploads = [step(p) for p in participants]
     noise_rngs = [
         streams.fake_noise(round_index, fake_id) for fake_id in attack.fake_ids
     ]
     uploads.extend(attack.crafted_updates(embeddings, noise_rngs))
 
-    contributions: dict[int, list[tuple[int, np.ndarray]]] = {}
-    touched: dict[int, tuple[int, ...]] = {}
-    for user_id, update in sorted(uploads, key=lambda kv: kv[0]):
-        touched[user_id] = tuple(sorted(update))
-        for item, vec in update.items():
-            contributions.setdefault(item, []).append((user_id, vec))
+    # int32 ids halve the index every ledger keeps
+    users = np.repeat(
+        np.array([user for user, _, _ in uploads], dtype=np.int32),
+        [len(i) for _, i, _ in uploads],
+    )
+    items = np.concatenate(
+        [np.empty(0, dtype=np.int32)] + [i for _, i, _ in uploads], dtype=np.int32
+    )
+    vecs = np.concatenate([np.empty((0, embeddings.dim))] + [v for _, _, v in uploads])
+    order = np.lexsort((users, items))
+    users, items, vecs = users[order], items[order], vecs[order]
 
     warnings: list[str] = []
-    aggregated: dict[int, np.ndarray] = {}
+    fallbacks: list[int] = []
     matrix = embeddings.matrix.copy()
-    for item in sorted(contributions):
-        agg = aggregate_item(spec, item, contributions[item], warnings)
-        aggregated[item] = agg
-        matrix[item] = matrix[item] + agg
+    # where each item's block of rows starts, then the end of the last one
+    bounds = np.append(np.flatnonzero(np.diff(items, prepend=-1)), items.size).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        item = int(items[lo])
+        before = len(warnings)
+        matrix[item] = matrix[item] + aggregate_item(spec, item, vecs[lo:hi], warnings)
+        if len(warnings) > before:
+            fallbacks.append(item)
+    if fallbacks:
+        aggregation_log.warning(
+            "round %d: %s degenerate on %d items, fell back to median: %s",
+            round_index, spec.rule, len(fallbacks), fallbacks,
+        )
 
-    ledger = RoundLedger(
-        round=round_index,
-        contributor_counts={i: len(c) for i, c in sorted(contributions.items())},
-        aggregated=aggregated,
-        touched_by_user=touched,
-        warnings=warnings,
-        wall_time=time.perf_counter() - started,
-        target_contributions=(
-            [(u, v.copy()) for u, v in contributions.get(attack.target_item, [])]
-            if capture_target
-            else None
-        ),
-    )
+    target_contributions = None
+    if capture_target:
+        lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
+        target_contributions = list(zip(users[lo:hi].tolist(), vecs[lo:hi].copy()))
+    ledger = RoundLedger(round_index, users, items, warnings, target_contributions)
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
 
@@ -323,7 +324,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     genuine_ids = [p.user_id for p in profiles]
-    footprints: dict[int, set[int]] = {}
+    # (genuine + fake users, items): whether the user ever uploaded for the item
+    footprints = np.zeros((dataset.num_users + attack.num_fakes, dataset.num_items), dtype=bool)
     metrics: list[evaluation.MetricsRecord] = []
     ledgers: list[RoundLedger] = []
     dumps: list[evaluation.UpdateDump] = []
@@ -346,8 +348,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             capture_target=capture,
         )
         ledgers.append(ledger)
-        for user, items in ledger.touched_by_user.items():
-            footprints.setdefault(user, set()).update(items)
+        footprints[ledger.users, ledger.items] = True
+        if not np.isfinite(embeddings.matrix).all():
+            raise FloatingPointError(f"round {round_index}: item embeddings are not finite")
 
         if capture:
             if ledger.target_contributions:
@@ -360,7 +363,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 log.warning("round %d: target item received no contributions, nothing to dump", round_index)
 
         if round_index % config.eval_every == 0 or round_index == config.rounds:
-            counts = {u: len(s) for u, s in footprints.items()}
+            if not all(np.isfinite(p.user_embedding).all() for p in profiles):
+                raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
+            counts = dict(enumerate(footprints.sum(axis=1).tolist()))
             record = evaluation.MetricsRecord(
                 round=round_index,
                 hr_at={k: evaluation.test_hit_ratio(profiles, embeddings, k) for k in config.topk},

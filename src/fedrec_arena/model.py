@@ -3,8 +3,8 @@
 The global model is one embedding vector per item; each user additionally
 holds a private embedding that never leaves the client. A local training
 step is one full-batch gradient step on the pairwise ranking loss
-L = -sum_i ln sigmoid(score(pos_i) - score(neg_i)), uploaded as a sparse
-per-item delta.
+L = -sum_i ln sigmoid(score(pos_i) - score(neg_i)), uploaded as one delta
+row per touched item.
 """
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-# item_id -> d-vector delta; exact-zero vectors are never stored
-SparseUpdate = dict[int, np.ndarray]
 
 
 @dataclass
@@ -78,18 +75,19 @@ def local_train(
     embeddings: ItemEmbeddings,
     pairs: Sequence[tuple[int, int]],
     learning_rate: float,
-) -> tuple[UserProfile, SparseUpdate]:
-    """One full-batch gradient step; returns the sparse item-embedding delta.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One full-batch gradient step; returns the upload as (items, deltas).
 
-    Item deltas are -lr * dL/dv_i for every item appearing in the pairs;
-    the user embedding moves by -lr * dL/du in place. Items whose
-    accumulated delta is exactly zero are omitted (only nonzero entries
-    are uploaded).
+    ``pairs`` is an (n, 2) array of (positive, negative) items or a list of
+    such tuples. Item deltas are -lr * dL/dv_i for every item appearing in
+    the pairs, as rows of ``deltas`` in ascending item order; the user
+    embedding moves by -lr * dL/du in place. Items whose accumulated delta
+    is exactly zero are omitted (only nonzero entries are uploaded).
     """
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    if not pairs:
-        return profile, {}
+    if len(pairs) == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, embeddings.dim))
     u = profile.user_embedding
     pair_arr = np.asarray(pairs, dtype=np.int64)
     pos, neg = pair_arr[:, 0], pair_arr[:, 1]
@@ -105,13 +103,8 @@ def local_train(
     deltas = (learning_rate * sums[touched])[:, None] * u
     nonzero_rows = np.any(deltas != 0.0, axis=1)
 
-    update: SparseUpdate = {
-        int(item): deltas[i]
-        for i, item in enumerate(touched)
-        if nonzero_rows[i]
-    }
     profile.user_embedding = u + learning_rate * (diff.T @ c)
-    return profile, update
+    return touched[nonzero_rows], deltas[nonzero_rows]
 
 
 def recommend_topk(profile: UserProfile, embeddings: ItemEmbeddings, k: int) -> list[int]:

@@ -65,6 +65,32 @@ def test_run_unknown_aggregator_exits_2(tmp_path, capsys):
     assert "aggregator.rule" in capsys.readouterr().err
 
 
+def test_run_hics_z_above_dim_exits_2(tmp_path, capsys):
+    bad = dict(MINIMAL, model={"dim": 4}, aggregator={"rule": "hics", "hics_z": 8})
+    config = write_config(tmp_path, bad)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "hics_z" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_non_finite_model_exits_1_without_metrics(tmp_path, capsys):
+    # lambda 1e308 overflows the item embeddings three rounds after the attack starts
+    document = {
+        "dataset": {"users": 200, "items": 100, "interactions_per_user": 20, "latent_dim": 8},
+        "federation": {"rounds": 60},
+        "attack": {"kind": "poisonfrs", "fake_fraction": 0.01, "start_round": 50,
+                   "filler_count": 10, "lambda": 1e308},
+        "seed": 0,
+    }
+    config = write_config(tmp_path, document)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "round 53: item embeddings are not finite" in err
+    assert not (out / "metrics.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_run_invalid_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -180,3 +206,13 @@ def test_aggcheck_ragged_rows_exit_2(tmp_path, capsys):
     path.write_text("1,2\n3\n")
     assert main(["aggcheck", "median", str(path)]) == 2
     assert "ragged" in capsys.readouterr().err
+
+
+def test_aggcheck_degenerate_rule_logs_its_median_fallback(tmp_path, capsys, caplog):
+    path = tmp_path / "vectors.txt"
+    path.write_text("1,0\n1.1,0\n50,50\n")
+    assert main(["aggcheck", "krum", str(path), "--m", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "1.1,0"
+    assert [r.getMessage() for r in caplog.records] == [
+        "item 0: krum degenerate (krum needs n-m-2 >= 1, got n=3, m=5); falling back to median"
+    ]

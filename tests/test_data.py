@@ -117,16 +117,15 @@ def test_split_held_out_item_has_maximal_order_key():
 
 def test_sample_pairs_only_possible_negative():
     profile = make_profile(0, train=[0])
-    batch = sample_pairs(profile, 2, np.random.default_rng(0))
-    assert batch.pairs == [(0, 1)]
-    assert batch.owner == 0
+    pairs = sample_pairs(profile, 2, np.random.default_rng(0))
+    assert pairs.tolist() == [[0, 1]]
 
 
 def test_sample_pairs_count_and_exclusions():
     profile = make_profile(3, train=[0, 1], test=2)
-    batch = sample_pairs(profile, 10, np.random.default_rng(5))
-    assert len(batch.pairs) == 2
-    for pos, neg in batch.pairs:
+    pairs = sample_pairs(profile, 10, np.random.default_rng(5))
+    assert len(pairs) == 2
+    for pos, neg in pairs:
         assert pos in (0, 1)
         assert neg not in {0, 1, 2}
 
@@ -135,7 +134,7 @@ def test_sample_pairs_deterministic_for_fixed_state():
     profile = make_profile(0, train=[0, 1, 2], test=3)
     a = sample_pairs(profile, 50, np.random.default_rng(42))
     b = sample_pairs(profile, 50, np.random.default_rng(42))
-    assert a.pairs == b.pairs
+    assert np.array_equal(a, b)
 
 
 def test_sample_pairs_never_hits_interactions_exhaustively():
@@ -150,8 +149,8 @@ def test_sample_pairs_never_hits_interactions_exhaustively():
         profile = make_profile(0, train=train, test=test)
         if len(profile.interacted) >= n_items:
             continue
-        batch = sample_pairs(profile, n_items, np.random.default_rng(trial))
-        for _, neg in batch.pairs:
+        pairs = sample_pairs(profile, n_items, np.random.default_rng(trial))
+        for _, neg in pairs:
             assert neg not in profile.interacted
             assert neg != test
 

@@ -4,7 +4,6 @@ import pytest
 from fedrec_arena.evaluation import (
     UndefinedMetricError,
     dump_target_updates,
-    footprint_counts,
     footprint_stats,
     ndcg_at,
     project_2d,
@@ -140,21 +139,6 @@ def test_ndcg_never_exceeds_hr():
 
 
 # ------------------------------------------------------------- footprint
-
-def test_footprint_replay_from_ledger_stream():
-    stream = [
-        {0: (1, 2), 1: (3,)},
-        {0: (2, 5), 2: (1, 2, 3)},
-        {1: (3,), 2: (9,)},
-    ]
-    counts = footprint_counts(stream)
-    assert counts == {0: 3, 1: 1, 2: 4}
-    stats = footprint_stats(counts, [0, 1, 2])
-    values = np.array([3, 1, 4], dtype=float)
-    assert stats.mean == pytest.approx(values.mean())
-    assert stats.std == pytest.approx(values.std())
-    assert (stats.min, stats.max) == (1, 4)
-
 
 def test_footprint_missing_users_count_zero():
     stats = footprint_stats({0: 5}, [0, 1])

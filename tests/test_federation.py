@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ def test_round_with_zero_users_leaves_embeddings_unchanged():
     after, ledger = run_round(emb, [], no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
     assert np.array_equal(after.matrix, before)
     assert after.round == 2
-    assert ledger.contributor_counts == {}
+    assert ledger.items.size == 0
 
 
 def test_single_user_fedavg_applies_exact_update():
@@ -59,15 +61,15 @@ def test_single_user_fedavg_applies_exact_update():
     profile = UserProfile(0, np.random.default_rng(6).normal(size=4), {0, 1}, [0, 1])
 
     shadow = UserProfile(0, profile.user_embedding.copy(), {0, 1}, [0, 1])
-    batch = sample_pairs(shadow, 10, streams.pairs(1, 0))
-    _, expected = local_train(shadow, ItemEmbeddings(1, matrix.copy()), batch.pairs, 0.05)
+    pairs = sample_pairs(shadow, 10, streams.pairs(1, 0))
+    expected = dict(zip(*local_train(shadow, ItemEmbeddings(1, matrix.copy()), pairs, 0.05)))
 
     after, ledger = run_round(emb, [profile], no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
     for item, delta in expected.items():
         assert after.matrix[item] == pytest.approx(matrix[item] + delta, rel=1e-12)
     untouched = [i for i in range(10) if i not in expected]
     assert np.array_equal(after.matrix[untouched], matrix[untouched])
-    assert ledger.touched_by_user[0] == tuple(sorted(expected))
+    assert tuple(ledger.items[ledger.users == 0]) == tuple(sorted(expected))
 
 
 def test_fakes_only_round_captures_target_exactly():
@@ -93,7 +95,7 @@ def test_untouched_items_carry_over_bit_identical():
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     before = emb.matrix.copy()
     after, ledger = run_round(emb, profiles, no_attack_runtime(), config.aggregator, streams)
-    touched = set(ledger.contributor_counts)
+    touched = set(ledger.items.tolist())
     for item in range(dataset.num_items):
         if item not in touched:
             assert np.array_equal(after.matrix[item], before[item])
@@ -109,9 +111,54 @@ def test_participation_accounting_no_attack():
     profiles = build_profiles(dataset, config.dim, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     _, ledger = run_round(emb, profiles, no_attack_runtime(), config.aggregator, streams)
-    total_contributions = sum(ledger.contributor_counts.values())
-    per_user_items = sum(len(items) for items in ledger.touched_by_user.values())
+    total_contributions = ledger.items.size
+    per_user_items = sum(
+        len(set(ledger.items[ledger.users == user].tolist())) for user in set(ledger.users.tolist())
+    )
     assert total_contributions == per_user_items
+
+
+def _round_inputs(config):
+    streams = SeedStreams(config.seed)
+    dataset = resolve_dataset(config.dataset, streams)
+    leave_one_out_split(dataset)
+    profiles = build_profiles(dataset, config.dim, streams)
+    return profiles, init_embeddings(dataset.num_items, config.dim, streams), streams
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [AggregatorSpec(rule="krum", krum_m=1), AggregatorSpec(rule="trimmed_mean", trim_beta=2)],
+    ids=["krum", "trimmed_mean"],
+)
+def test_round_orders_contributions_by_contributor_whatever_the_upload_order(spec):
+    config = small_config()
+    outcomes = []
+    for reverse in (False, True):
+        profiles, emb, streams = _round_inputs(config)
+        if reverse:
+            profiles = profiles[::-1]
+        after, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
+        outcomes.append(after.matrix)
+        assert not ledger.warnings
+        for item in np.unique(ledger.items):
+            contributors = ledger.users[ledger.items == item]
+            assert np.all(np.diff(contributors) > 0), f"item {item}: {contributors}"
+    assert np.array_equal(outcomes[0], outcomes[1])
+
+
+def test_round_logs_one_fallback_record(caplog):
+    config = small_config()
+    profiles, emb, streams = _round_inputs(config)
+    spec = AggregatorSpec(rule="krum", krum_m=1000)  # degenerate on every item
+    with caplog.at_level(logging.WARNING, logger="fedrec_arena.aggregation"):
+        _, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
+    items = np.unique(ledger.items)
+    assert len(items) > 1
+    assert len(ledger.warnings) == len(items)
+    records = [r for r in caplog.records if r.name == "fedrec_arena.aggregation"]
+    assert len(records) == 1
+    assert f"krum degenerate on {len(items)} items" in records[0].getMessage()
 
 
 # ------------------------------------------------------------- experiment
@@ -141,7 +188,7 @@ def test_no_fake_contributions_before_start_round():
     fake_ids = set(range(result.num_genuine, result.num_genuine + result.num_fakes))
     assert result.num_fakes == 4
     for ledger in result.ledgers:
-        touched_fakes = fake_ids & set(ledger.touched_by_user)
+        touched_fakes = fake_ids & set(ledger.users.tolist())
         if ledger.round < 6:
             assert not touched_fakes
         else:
@@ -156,7 +203,7 @@ def test_baseline_fakes_join_training_at_start_round():
     result = run_experiment(config)
     fake_ids = set(range(result.num_genuine, result.num_genuine + result.num_fakes))
     for ledger in result.ledgers:
-        seen = fake_ids & set(ledger.touched_by_user)
+        seen = fake_ids & set(ledger.users.tolist())
         assert seen == (fake_ids if ledger.round >= 5 else set())
 
 
@@ -195,8 +242,22 @@ def test_validate_rejects_bad_configs():
             rounds=5,
             attack=AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=9),
         ).validate()
+    with pytest.raises(ValueError):
+        small_config(dim=4, aggregator=AggregatorSpec(rule="hics", hics_z=8)).validate()
+    with pytest.raises(ValueError):
+        small_config(aggregator=AggregatorSpec(rule="hics", hics_z=0)).validate()
+    with pytest.raises(ValueError):
+        small_config(topk=(0, 5)).validate()
+    with pytest.raises(ValueError):
+        small_config(dim=0).validate()
+    with pytest.raises(ValueError):
+        small_config(dump_round=99).validate()
+    with pytest.raises(ValueError):
+        small_config(dump_round=0).validate()
     # start round is irrelevant without an active attack
     small_config(rounds=5).validate()
+    # hics_z is only bounded when hics aggregates
+    small_config(dim=4, aggregator=AggregatorSpec(rule="median", hics_z=8)).validate()
 
 
 def test_metric_cadence_includes_final_round():
@@ -205,10 +266,14 @@ def test_metric_cadence_includes_final_round():
 
 
 def test_metrics_footprint_matches_ledger_replay():
-    from fedrec_arena.evaluation import footprint_counts, footprint_stats
+    from fedrec_arena.evaluation import footprint_stats
 
     result = run_experiment(small_config(rounds=8, eval_every=8))
-    counts = footprint_counts(l.touched_by_user for l in result.ledgers)
+    touched = {}
+    for l in result.ledgers:
+        for user, item in zip(l.users.tolist(), l.items.tolist()):
+            touched.setdefault(user, set()).add(item)
+    counts = {u: len(items) for u, items in touched.items()}
     replayed = footprint_stats(counts, range(result.num_genuine))
     assert result.metrics[-1].footprint == replayed
 
@@ -217,10 +282,10 @@ def test_partial_participation_limits_contributors():
     config = small_config(participation=0.25, rounds=3)
     result = run_experiment(config)
     for ledger in result.ledgers:
-        assert len(ledger.touched_by_user) <= max(1, round(0.25 * 40))
+        assert len(np.unique(ledger.users)) <= max(1, round(0.25 * 40))
     again = run_experiment(small_config(participation=0.25, rounds=3))
-    assert [sorted(l.touched_by_user) for l in result.ledgers] == [
-        sorted(l.touched_by_user) for l in again.ledgers
+    assert [np.unique(l.users).tolist() for l in result.ledgers] == [
+        np.unique(l.users).tolist() for l in again.ledgers
     ]
 
 

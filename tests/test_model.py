@@ -81,7 +81,7 @@ def test_local_train_empty_pairs_is_noop():
     emb = embeddings_of([[1.0, 2.0]])
     profile = profile_with([0.5, 0.5])
     before = profile.user_embedding.copy()
-    _, update = local_train(profile, emb, [], 0.1)
+    update = dict(zip(*local_train(profile, emb, [], 0.1)))
     assert update == {}
     assert np.array_equal(profile.user_embedding, before)
 
@@ -91,7 +91,7 @@ def test_local_train_hand_derived_one_pair():
     # so pos delta +0.5, neg delta -0.5, user delta 0
     emb = embeddings_of([[0.0], [0.0]])
     profile = profile_with([1.0])
-    _, update = local_train(profile, emb, [(0, 1)], 1.0)
+    update = dict(zip(*local_train(profile, emb, [(0, 1)], 1.0)))
     assert update[0] == pytest.approx([0.5])
     assert update[1] == pytest.approx([-0.5])
     assert profile.user_embedding == pytest.approx([1.0])
@@ -129,7 +129,7 @@ def test_local_train_matches_finite_differences():
             continue
         expected = _finite_difference_update(u, matrix, pairs, lr=0.05)
         profile = profile_with(u)
-        _, update = local_train(profile, ItemEmbeddings(1, matrix), pairs, 0.05)
+        update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, 0.05)))
         for item, exp in expected.items():
             got = update.get(item, np.zeros_like(exp))
             denom = max(np.max(np.abs(exp)), 1e-8)
@@ -141,7 +141,7 @@ def test_local_train_support_is_pair_items():
     matrix = rng.normal(size=(8, 3))
     profile = profile_with(rng.normal(size=3))
     pairs = [(0, 4), (2, 4), (0, 7)]
-    _, update = local_train(profile, ItemEmbeddings(1, matrix), pairs, 0.1)
+    update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, 0.1)))
     assert set(update) == {0, 2, 4, 7}
 
 
@@ -154,7 +154,7 @@ def test_local_train_small_step_never_increases_loss():
         pairs = [(0, 3), (1, 4), (2, 5)]
         before = bpr_loss(u, ItemEmbeddings(1, matrix), pairs)
         profile = profile_with(u.copy())
-        _, update = local_train(profile, ItemEmbeddings(1, matrix), pairs, 1e-3)
+        update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, 1e-3)))
         stepped = matrix.copy()
         for item, delta in update.items():
             stepped[item] += delta
