@@ -40,10 +40,8 @@ from .evaluation import (
     UpdateDump,
     dump_target_updates,
     footprint_stats,
-    ndcg_at,
     project_2d,
-    target_hit_ratio,
-    test_hit_ratio,
+    rank_metrics,
 )
 from .federation import (
     DatasetConfig,
@@ -60,7 +58,6 @@ from .model import (
     bpr_loss,
     local_train,
     predict_score,
-    recommend_topk,
 )
 
 __version__ = "0.1.0"

@@ -215,6 +215,8 @@ def load_dataset(fp: IO[str]) -> InteractionDataset:
             u, i, o = (int(x) for x in line.split("\t"))
         except ValueError as exc:
             raise RatingsParseError(line_no, f"bad interaction line {line.strip()!r}") from exc
+        if not (0 <= u < num_users and 0 <= i < num_items):
+            raise RatingsParseError(line_no, f"user {u} or item {i} outside the header's range")
         interactions.append((u, i, o))
     if not interactions:
         raise EmptyDatasetError("dataset file contains no interactions")

@@ -7,11 +7,12 @@ attacker, so scoring them would inflate the metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import ItemEmbeddings, UserProfile, recommend_topk
+from .model import ItemEmbeddings, UserProfile
 
 
 class UndefinedMetricError(ValueError):
@@ -43,70 +44,74 @@ class UpdateDump:
     projection: np.ndarray  # (len(rows), 2)
 
 
-def target_hit_ratio(
+# (user, item) scores per block of users: 512 KB of float64, small enough that
+# an eval's temporaries stay well below a round's peak memory.
+_BLOCK_CELLS = 2**16
+
+
+def rank_metrics(
     profiles: Sequence[UserProfile],
+    users: np.ndarray,
     embeddings: ItemEmbeddings,
     target_item: int,
-    k: int,
-) -> float:
-    """Fraction of users who never interacted with the target yet see it in
-    their top-k recommendations."""
-    eligible = [p for p in profiles if target_item not in p.interacted]
-    if not eligible:
-        raise UndefinedMetricError("no user is eligible for the target hit ratio")
-    hits = sum(1 for p in eligible if target_item in recommend_topk(p, embeddings, k))
-    return hits / len(eligible)
+    ks: Sequence[int],
+) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
+    """HR@k, target HR@k and NDCG@k for every k in ``ks`` from one ranking pass.
 
-
-def _test_ranks(
-    profiles: Sequence[UserProfile], embeddings: ItemEmbeddings
-) -> list[int]:
-    """1-based rank of each test user's held-out item among all non-train items.
-
-    Ties resolve toward the smaller item id, matching recommend_topk.
+    Row r of ``users`` is the embedding of ``profiles[r]``. An item ranks
+    ahead of another when it scores higher, or the same with a lower id. The
+    held-out item ranks among the user's non-train items; at rank r it hits
+    at k when r <= k, with NDCG gain 1/log2(r + 1). The target ranks among the
+    non-interacted items of each user who never interacted with it, and hits
+    at k when fewer than k of them rank ahead. One count per user serves all k.
     """
-    ranks = []
-    for p in profiles:
-        if p.test_item is None:
-            continue
-        scores = embeddings.matrix @ p.user_embedding
-        t = p.test_item
-        train = np.fromiter(p.train_items, dtype=np.int64, count=len(p.train_items))
-        better = (scores > scores[t]) | (
-            (scores == scores[t]) & (np.arange(scores.size) < t)
-        )
-        if train.size:
-            better[train] = False
-        ranks.append(int(better.sum()) + 1)
-    return ranks
+    num_users, num_items = len(profiles), embeddings.num_items
 
+    def mask(item_lists: list) -> np.ndarray:
+        out = np.zeros((num_users, num_items), dtype=bool)
+        lengths = [len(items) for items in item_lists]
+        out[np.repeat(np.arange(num_users), lengths), list(chain.from_iterable(item_lists))] = True
+        return out
 
-def test_hit_ratio(
-    profiles: Sequence[UserProfile], embeddings: ItemEmbeddings, k: int
-) -> float:
-    """Leave-one-out hit ratio: held-out item in the top-k among non-train items."""
-    ranks = _test_ranks(profiles, embeddings)
-    if not ranks:
+    train = mask([p.train_items for p in profiles])
+    interacted = mask([p.interacted for p in profiles])
+    tested = np.array([p.test_item is not None for p in profiles])
+    test_items = np.array([p.test_item or 0 for p in profiles])  # untested rows are never read
+    eligible = ~interacted[:, target_item]
+    if not tested.any():
         raise UndefinedMetricError("no user has a held-out test item")
-    return sum(1 for r in ranks if r <= k) / len(ranks)
+    if not eligible.any():
+        raise UndefinedMetricError("no user is eligible for the target hit ratio")
+
+    ids = np.arange(num_items)
+
+    def ahead(scores: np.ndarray, item, masked: np.ndarray) -> np.ndarray:
+        """Per row, how many unmasked items rank ahead of ``item``."""
+        own = np.take_along_axis(scores, np.broadcast_to(item, (len(scores), 1)), axis=1)
+        return (((scores > own) | ((scores == own) & (ids < item))) & ~masked).sum(axis=1)
+
+    test_ahead, target_ahead = np.zeros((2, num_users), dtype=np.int64)
+    block = max(1, _BLOCK_CELLS // num_items)
+    for lo in range(0, num_users, block):
+        part = slice(lo, lo + block)
+        scores = users[part] @ embeddings.matrix.T
+        test_ahead[part] = ahead(scores, test_items[part, None], train[part])
+        target_ahead[part] = ahead(scores, target_item, interacted[part])
+
+    ranks, target_ahead = test_ahead[tested] + 1, target_ahead[eligible]
+    hr_at, target_hr_at, ndcg_at = {}, {}, {}
+    for k in ks:
+        hr_at[k] = int((ranks <= k).sum()) / ranks.size
+        target_hr_at[k] = int((target_ahead < k).sum()) / target_ahead.size
+        # summed in profile order, one scalar gain at a time
+        gains = [1.0 / np.log2(r + 1) if r <= k else 0.0 for r in ranks.tolist()]
+        ndcg_at[k] = float(sum(gains) / len(gains))
+    return hr_at, target_hr_at, ndcg_at
 
 
-def ndcg_at(
-    profiles: Sequence[UserProfile], embeddings: ItemEmbeddings, k: int
-) -> float:
-    """Single-relevant-item NDCG: 1/log2(rank+1) when the held-out item is
-    ranked within k, else 0; ideal gain is 1."""
-    ranks = _test_ranks(profiles, embeddings)
-    if not ranks:
-        raise UndefinedMetricError("no user has a held-out test item")
-    gains = [1.0 / np.log2(r + 1) if r <= k else 0.0 for r in ranks]
-    return float(sum(gains) / len(gains))
-
-
-def footprint_stats(counts: Mapping[int, int], user_ids: Iterable[int]) -> FootprintStats:
-    values = np.array([counts.get(u, 0) for u in user_ids], dtype=np.float64)
-    if values.size == 0:
-        return FootprintStats(0.0, 0.0, 0, 0)
+def footprint_stats(counts: np.ndarray) -> FootprintStats:
+    """Mean, spread and range of the per-user counts of items ever uploaded for."""
+    values = np.asarray(counts, dtype=np.float64)
     return FootprintStats(
         float(values.mean()), float(values.std()), int(values.min()), int(values.max())
     )

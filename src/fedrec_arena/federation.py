@@ -124,9 +124,28 @@ class ExperimentConfig:
             raise ValueError("dump_round must lie in [1, rounds]")
         if self.aggregator.rule == "hics" and not 1 <= self.aggregator.hics_z <= self.dim:
             raise ValueError(f"aggregator hics_z must lie in [1, dim={self.dim}]")
-        if self.attack.kind != "none" and self.attack.fake_fraction > 0:
-            if not 1 <= self.attack.start_round <= self.rounds:
-                raise ValueError("attack start_round must lie in [1, rounds]")
+        if self._attacking() and not 1 <= self.attack.start_round <= self.rounds:
+            raise ValueError("attack start_round must lie in [1, rounds]")
+        target = self.attack.target_item
+        if isinstance(target, bool) or not isinstance(target, (int, np.integer, type(None))):
+            raise ValueError(f"attack target_item must be an integer item id, got {target!r}")
+        if self.dataset.kind == "synthetic":
+            self.check_item_count(self.dataset.items)
+
+    def _attacking(self) -> bool:
+        return self.attack.kind != "none" and self.attack.fake_fraction > 0
+
+    def check_item_count(self, num_items: int) -> None:
+        """Reject a target item or attack size that does not fit ``num_items`` items."""
+        target = self.attack.target_item
+        if target is not None and not 0 <= target < num_items:
+            raise ValueError(f"attack target_item {target} must lie in [0, items={num_items})")
+        if not self._attacking():
+            return
+        if not 0 <= self.attack.filler_count < num_items:
+            raise ValueError(f"attack filler_count must lie in [0, items={num_items})")
+        if self.attack.kind == "poisonfrs" and not 1 <= self.attack.popular_count <= num_items:
+            raise ValueError(f"attack popular_count must lie in [1, items={num_items}]")
 
 
 @dataclass
@@ -297,17 +316,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     streams = SeedStreams(config.seed)
 
     dataset = resolve_dataset(config.dataset, streams)
+    # a file dataset's item count is known only once it is loaded
+    config.check_item_count(dataset.num_items)
     leave_one_out_split(dataset)
     profiles = build_profiles(dataset, config.dim, streams)
     embeddings = init_embeddings(dataset.num_items, config.dim, streams)
 
-    target_item = (
-        config.attack.target_item
-        if config.attack.target_item is not None
-        else default_target_item(dataset)
-    )
-    if not 0 <= target_item < dataset.num_items:
-        raise ValueError(f"target item {target_item} out of range")
+    target_item = config.attack.target_item
+    if target_item is None:
+        target_item = default_target_item(dataset)
     attack = AttackRuntime(config.attack, dataset.num_users, target_item)
     attack.prepare_baselines(dataset, config.dim, streams.baseline())
 
@@ -323,13 +340,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         hics_state={},
     )
 
-    genuine_ids = [p.user_id for p in profiles]
     # (genuine + fake users, items): whether the user ever uploaded for the item
     footprints = np.zeros((dataset.num_users + attack.num_fakes, dataset.num_items), dtype=bool)
     metrics: list[evaluation.MetricsRecord] = []
     ledgers: list[RoundLedger] = []
     dumps: list[evaluation.UpdateDump] = []
-    labels = {u: "genuine" for u in genuine_ids}
+    labels = {u: "genuine" for u in range(dataset.num_users)}
     labels.update({f: "fake" for f in attack.fake_ids})
 
     for round_index in range(1, config.rounds + 1):
@@ -363,20 +379,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 log.warning("round %d: target item received no contributions, nothing to dump", round_index)
 
         if round_index % config.eval_every == 0 or round_index == config.rounds:
-            if not all(np.isfinite(p.user_embedding).all() for p in profiles):
+            users = np.stack([p.user_embedding for p in profiles])
+            if not np.isfinite(users).all():
                 raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
-            counts = dict(enumerate(footprints.sum(axis=1).tolist()))
-            record = evaluation.MetricsRecord(
-                round=round_index,
-                hr_at={k: evaluation.test_hit_ratio(profiles, embeddings, k) for k in config.topk},
-                target_hr_at={
-                    k: evaluation.target_hit_ratio(profiles, embeddings, target_item, k)
-                    for k in config.topk
-                },
-                ndcg_at={k: evaluation.ndcg_at(profiles, embeddings, k) for k in config.topk},
-                footprint=evaluation.footprint_stats(counts, genuine_ids),
-            )
-            metrics.append(record)
+            ranked = evaluation.rank_metrics(profiles, users, embeddings, target_item, config.topk)
+            footprint = evaluation.footprint_stats(footprints[: dataset.num_users].sum(axis=1))
+            metrics.append(evaluation.MetricsRecord(round_index, *ranked, footprint))
 
     return ExperimentResult(
         config=config,

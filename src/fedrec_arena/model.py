@@ -106,17 +106,3 @@ def local_train(
     profile.user_embedding = u + learning_rate * (diff.T @ c)
     return touched[nonzero_rows], deltas[nonzero_rows]
 
-
-def recommend_topk(profile: UserProfile, embeddings: ItemEmbeddings, k: int) -> list[int]:
-    """Top-k non-interacted items by score, ties broken toward smaller item id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    num_items = embeddings.num_items
-    candidates = np.array(
-        [i for i in range(num_items) if i not in profile.interacted], dtype=np.int64
-    )
-    if candidates.size == 0:
-        return []
-    scores = embeddings.matrix[candidates] @ profile.user_embedding
-    order = np.lexsort((candidates, -scores))
-    return [int(candidates[i]) for i in order[:k]]

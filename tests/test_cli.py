@@ -104,6 +104,23 @@ def test_run_missing_dataset_file_exits_1(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_run_file_dataset_checks_attack_size_before_round_1(tmp_path, capsys, monkeypatch):
+    from fedrec_arena import federation
+
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(federation, "run_round", no_round)
+    data = tmp_path / "data.tsv"
+    data.write_text("users=2 items=3\n0\t0\t0\n0\t1\t1\n1\t1\t0\n1\t2\t1\n")
+    attack = {"kind": "poisonfrs", "fake_fraction": 0.5, "start_round": 5, "filler_count": 3}
+    document = dict(MINIMAL, dataset={"kind": "file", "path": str(data)}, attack=attack)
+    config = write_config(tmp_path, document)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "filler_count" in err and "a round ran" not in err
+
+
 def test_summary_echo_reproduces_metrics_bytes(tmp_path):
     config = write_config(tmp_path, MINIMAL)
     out1 = tmp_path / "first"

@@ -213,3 +213,19 @@ def test_dataset_round_trip_identity():
     buf2 = io.StringIO()
     dump_dataset(back, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "lines,line_no",
+    [
+        (["0\t-1\t1", "1\t2\t0"], 2),
+        (["-1\t0\t0"], 2),
+        (["0\t2\t0", "1\t3\t0"], 3),
+        (["0\t2\t0", "2\t0\t0"], 3),
+    ],
+)
+def test_load_rejects_ids_outside_header(lines, line_no):
+    text = "users=2 items=3\n" + "\n".join(lines) + "\n"
+    with pytest.raises(RatingsParseError) as err:
+        load_dataset(io.StringIO(text))
+    assert err.value.line_no == line_no

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from fedrec_arena import evaluation
 from fedrec_arena.evaluation import (
     UndefinedMetricError,
     dump_target_updates,
     footprint_stats,
-    ndcg_at,
     project_2d,
-    target_hit_ratio,
+    rank_metrics,
 )
-from fedrec_arena.evaluation import test_hit_ratio as held_out_hit_ratio
+from fedrec_arena.attack import AttackConfig
+from fedrec_arena.federation import DatasetConfig, ExperimentConfig, run_experiment
 from fedrec_arena.model import ItemEmbeddings, UserProfile
 
 
@@ -19,6 +20,74 @@ def profile(uid, u, interacted=(), train=(), test=None):
 
 def embeddings(rows):
     return ItemEmbeddings(round=1, matrix=np.asarray(rows, dtype=float))
+
+
+def batched(profiles, emb, target_item, ks):
+    users = np.stack([p.user_embedding for p in profiles])
+    return rank_metrics(profiles, users, emb, target_item, ks)
+
+
+def target_hit_ratio(users, emb, target_item, k):
+    """Target HR@k from rank_metrics. The bystander holds the target out, so
+    the held-out metrics are defined while the target's denominator is not
+    touched."""
+    bystander = profile(-1, np.zeros(emb.dim), interacted={target_item}, test=target_item)
+    return batched([*users, bystander], emb, target_item, (k,))[1][k]
+
+
+def held_out(users, emb, k):
+    """(HR@k, NDCG@k) from rank_metrics. The bystander has no interactions and
+    no test item, so target item 0 is defined while the held-out metrics are
+    not touched."""
+    bystander = profile(-1, np.zeros(emb.dim))
+    hr_at, _, ndcg_at = batched([*users, bystander], emb, 0, (k,))
+    return hr_at[k], ndcg_at[k]
+
+
+# ------------------------------------------------- per-user reference (oracle)
+
+def reference_topk(p, emb, k):
+    """Top-k non-interacted items by score, ties broken toward smaller item id."""
+    candidates = np.array([i for i in range(emb.num_items) if i not in p.interacted], dtype=np.int64)
+    if candidates.size == 0:
+        return []
+    scores = emb.matrix[candidates] @ p.user_embedding
+    order = np.lexsort((candidates, -scores))
+    return [int(candidates[i]) for i in order[:k]]
+
+
+def reference_ranks(profiles, emb):
+    """1-based rank of each test user's held-out item among its non-train items."""
+    ranks = []
+    for p in profiles:
+        if p.test_item is None:
+            continue
+        scores = emb.matrix @ p.user_embedding
+        t = p.test_item
+        better = (scores > scores[t]) | ((scores == scores[t]) & (np.arange(scores.size) < t))
+        better[list(p.train_items)] = False
+        ranks.append(int(better.sum()) + 1)
+    return ranks
+
+
+def reference_metrics(profiles, emb, target_item, ks):
+    """(HR@k, target HR@k, NDCG@k) by k, one user and one K at a time."""
+    ranks = reference_ranks(profiles, emb)
+    eligible = [p for p in profiles if target_item not in p.interacted]
+    hr_at, target_hr_at, ndcg_at = {}, {}, {}
+    for k in ks:
+        hr_at[k] = sum(1 for r in ranks if r <= k) / len(ranks)
+        hits = sum(1 for p in eligible if target_item in reference_topk(p, emb, k))
+        target_hr_at[k] = hits / len(eligible)
+        gains = [1.0 / np.log2(r + 1) if r <= k else 0.0 for r in ranks]
+        ndcg_at[k] = float(sum(gains) / len(gains))
+    return hr_at, target_hr_at, ndcg_at
+
+
+def assert_matches_reference(profiles, emb, target_item, ks):
+    got = batched(profiles, emb, target_item, ks)
+    assert got == reference_metrics(profiles, emb, target_item, ks)
+    return got
 
 
 # ------------------------------------------------------------- target HR
@@ -64,7 +133,7 @@ def test_hr_saturates_when_k_covers_candidates():
     rng = np.random.default_rng(1)
     emb = embeddings(rng.normal(size=(6, 2)))
     users = [profile(i, rng.normal(size=2), interacted={0, i + 1}, train=[0], test=i + 1) for i in range(3)]
-    assert held_out_hit_ratio(users, emb, k=6) == 1.0
+    assert held_out(users, emb, k=6)[0] == 1.0
 
 
 def test_hr_monotone_in_k():
@@ -74,7 +143,7 @@ def test_hr_monotone_in_k():
         profile(i, rng.normal(size=4), interacted={i, i + 1}, train=[i], test=i + 1)
         for i in range(15)
     ]
-    values = [held_out_hit_ratio(users, emb, k) for k in (1, 5, 10, 30)]
+    values = [held_out(users, emb, k)[0] for k in (1, 5, 10, 30)]
     assert values == sorted(values)
 
 
@@ -89,7 +158,7 @@ def test_hr_random_embeddings_matches_analytic_expectation():
                     train=[i % 101], test=(i + 7) % 101)
             for i in range(40)
         ]
-        hits.append(held_out_hit_ratio(users, emb, k=10))
+        hits.append(held_out(users, emb, k=10)[0])
     assert abs(np.mean(hits) - 0.10) < 0.05
 
 
@@ -97,13 +166,13 @@ def test_hr_candidates_exclude_train_but_include_test():
     # train item scores higher than test; excluding it lets the test item hit
     emb = embeddings([[10.0], [5.0], [1.0]])
     user = profile(0, [1.0], interacted={0, 1}, train=[0], test=1)
-    assert held_out_hit_ratio([user], emb, k=1) == 1.0
+    assert held_out([user], emb, k=1)[0] == 1.0
 
 
 def test_hr_requires_a_test_user():
     emb = embeddings([[1.0]])
     with pytest.raises(UndefinedMetricError):
-        held_out_hit_ratio([profile(0, [1.0], interacted={0}, train=[0])], emb, 1)
+        held_out([profile(0, [1.0], interacted={0}, train=[0])], emb, 1)
 
 
 # ------------------------------------------------------------- NDCG
@@ -111,19 +180,19 @@ def test_hr_requires_a_test_user():
 def test_ndcg_rank_one_is_unity():
     emb = embeddings([[5.0], [1.0], [0.5]])
     users = [profile(i, [1.0], interacted={0}, train=[], test=0) for i in range(3)]
-    assert ndcg_at(users, emb, k=3) == 1.0
+    assert held_out(users, emb, k=3)[1] == 1.0
 
 
 def test_ndcg_zero_when_out_of_list():
     emb = embeddings([[5.0], [4.0], [0.1]])
     user = profile(0, [1.0], interacted={2}, train=[], test=2)
-    assert ndcg_at([user], emb, k=2) == 0.0
+    assert held_out([user], emb, k=2)[1] == 0.0
 
 
 def test_ndcg_rank_two_value():
     emb = embeddings([[5.0], [4.0], [0.1]])
     user = profile(0, [1.0], interacted={1}, train=[], test=1)
-    assert ndcg_at([user], emb, k=2) == pytest.approx(1.0 / np.log2(3.0))
+    assert held_out([user], emb, k=2)[1] == pytest.approx(1.0 / np.log2(3.0))
 
 
 def test_ndcg_never_exceeds_hr():
@@ -135,13 +204,106 @@ def test_ndcg_never_exceeds_hr():
             for i in range(10)
         ]
         for k in (1, 3, 10):
-            assert ndcg_at(users, emb, k) <= held_out_hit_ratio(users, emb, k) + 1e-12
+            hr, ndcg = held_out(users, emb, k)
+            assert ndcg <= hr + 1e-12
+
+
+# ------------------------------------------ batched ranking vs the reference
+
+def test_rank_metrics_one_call_serves_every_k():
+    rng = np.random.default_rng(7)
+    emb = embeddings(rng.normal(size=(25, 4)))
+    users = [
+        profile(i, rng.normal(size=4), interacted={i, i + 2}, train=[i], test=i + 2)
+        for i in range(20)
+    ]
+    hr_at, target_hr_at, ndcg_at = batched(users, emb, 24, (1, 5, 10, 25))
+    for k in (1, 5, 10, 25):
+        assert batched(users, emb, 24, (k,)) == ({k: hr_at[k]}, {k: target_hr_at[k]}, {k: ndcg_at[k]})
+
+
+def test_rank_metrics_exact_ties_match_reference():
+    # items 1 and 3 share one embedding; user 2's all-zero embedding ties every item
+    emb = embeddings([[1.0, 0.5], [0.5, 0.25], [0.0, 1.0], [0.5, 0.25], [-1.0, 0.0]])
+    users = [
+        profile(0, [1.0, 0.0], interacted={3}, train=[], test=3),
+        profile(1, [0.5, 1.0], interacted={1, 0}, train=[0], test=1),
+        profile(2, [0.0, 0.0], interacted={2, 4}, train=[4], test=2),
+        profile(3, [0.0, 0.0], interacted={1}, train=[], test=1),
+    ]
+    for target in (1, 3):
+        assert_matches_reference(users, emb, target, (1, 2, 3))
+    # the all-zero user ranks the held-out item behind every lower id it has not trained on
+    assert batched(users[2:3], emb, 0, (1, 2, 3))[0] == {1: 0.0, 2: 0.0, 3: 1.0}
+
+
+def test_rank_metrics_skips_untested_and_target_holders():
+    rng = np.random.default_rng(8)
+    emb = embeddings(rng.normal(size=(12, 3)))
+    users = [
+        profile(0, rng.normal(size=3), interacted={0, 5}, train=[0], test=5),
+        profile(1, rng.normal(size=3), interacted={4}, train=[4]),  # no test item
+        profile(2, rng.normal(size=3), interacted={4, 7}, train=[7], test=4),  # holds the target out
+        profile(3, rng.normal(size=3), interacted={4, 1}, train=[4, 1]),  # trained on the target
+        profile(4, rng.normal(size=3), interacted={2, 3}, train=[2], test=3),
+    ]
+    hr_at, target_hr_at, _ = assert_matches_reference(users, emb, 4, (1, 3, 12))
+    assert hr_at[12] == 1.0 and target_hr_at[12] == 1.0
+
+
+def test_rank_metrics_k_above_candidate_count():
+    rng = np.random.default_rng(9)
+    emb = embeddings(rng.normal(size=(6, 2)))
+    users = [
+        profile(i, rng.normal(size=2), interacted={0, 1, 2, i + 3}, train=[0, 1], test=i + 3)
+        for i in range(3)
+    ]
+    got = assert_matches_reference(users, emb, 5, (2, 4, 50))
+    assert got[0][50] == 1.0
+
+
+def test_rank_metrics_across_score_blocks():
+    # 300 x 300 = 90 000 scores, more than one block of 2**16
+    rng = np.random.default_rng(10)
+    num_users, num_items = 300, 300
+    assert num_users * num_items > evaluation._BLOCK_CELLS
+    emb = embeddings(rng.normal(size=(num_items, 8)))
+    users = []
+    for u in range(num_users):
+        interacted = rng.choice(num_items, size=6, replace=False).tolist()
+        train = interacted[:-1] if u % 7 else interacted  # every 7th user has no test item
+        test = interacted[-1] if u % 7 else None
+        users.append(profile(u, rng.normal(size=8), interacted, train, test))
+    for target in (0, 150, 299):
+        assert_matches_reference(users, emb, target, (1, 5, 10, 20))
+
+
+def test_rank_metrics_matches_reference_at_every_eval_of_a_run(monkeypatch):
+    evals = []
+    batched_path = evaluation.rank_metrics
+
+    def compared(profiles, users, emb, target_item, ks):
+        got = batched_path(profiles, users, emb, target_item, ks)
+        assert got == reference_metrics(profiles, emb, target_item, ks)
+        evals.append(got)
+        return got
+
+    monkeypatch.setattr(evaluation, "rank_metrics", compared)
+    config = ExperimentConfig(
+        dataset=DatasetConfig(users=200, items=100, interactions_per_user=20),
+        rounds=20,
+        eval_every=5,
+        attack=AttackConfig(kind="poisonfrs", fake_fraction=0.01, start_round=10),
+    )
+    result = run_experiment(config)
+    assert len(evals) == 4 == len(result.metrics)
 
 
 # ------------------------------------------------------------- footprint
 
 def test_footprint_missing_users_count_zero():
-    stats = footprint_stats({0: 5}, [0, 1])
+    # user 1 never uploaded
+    stats = footprint_stats(np.array([5, 0]))
     assert stats.min == 0 and stats.max == 5
 
 

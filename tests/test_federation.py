@@ -254,10 +254,26 @@ def test_validate_rejects_bad_configs():
         small_config(dump_round=99).validate()
     with pytest.raises(ValueError):
         small_config(dump_round=0).validate()
+    def attacked(**fields):
+        base = dict(kind="poisonfrs", fake_fraction=0.1, start_round=2, filler_count=2)
+        return small_config(attack=AttackConfig(**{**base, **fields}))
+
+    with pytest.raises(ValueError, match="filler_count"):
+        attacked(filler_count=30).validate()
+    with pytest.raises(ValueError, match="filler_count"):
+        attacked(kind="random", filler_count=30).validate()
+    with pytest.raises(ValueError, match="popular_count"):
+        attacked(popular_count=31).validate()
+    for target in ("3", 2.5, True, 30, -1):
+        with pytest.raises(ValueError, match="target_item"):
+            small_config(attack=AttackConfig(target_item=target)).validate()
     # start round is irrelevant without an active attack
     small_config(rounds=5).validate()
     # hics_z is only bounded when hics aggregates
     small_config(dim=4, aggregator=AggregatorSpec(rule="median", hics_z=8)).validate()
+    # attack sizes are only bounded when fakes attack; the largest that fit pass
+    small_config(attack=AttackConfig(filler_count=30, popular_count=31)).validate()
+    attacked(filler_count=29, popular_count=30, target_item=29).validate()
 
 
 def test_metric_cadence_includes_final_round():
@@ -273,8 +289,8 @@ def test_metrics_footprint_matches_ledger_replay():
     for l in result.ledgers:
         for user, item in zip(l.users.tolist(), l.items.tolist()):
             touched.setdefault(user, set()).add(item)
-    counts = {u: len(items) for u, items in touched.items()}
-    replayed = footprint_stats(counts, range(result.num_genuine))
+    counts = [len(touched.get(u, ())) for u in range(result.num_genuine)]
+    replayed = footprint_stats(np.array(counts))
     assert result.metrics[-1].footprint == replayed
 
 

