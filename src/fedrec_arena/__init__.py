@@ -23,7 +23,6 @@ from .attack import (
     select_fillers,
 )
 from .data import (
-    DegenerateUserError,
     EmptyDatasetError,
     InteractionDataset,
     RatingsParseError,
@@ -32,7 +31,6 @@ from .data import (
     leave_one_out_split,
     load_dataset,
     parse_ratings,
-    sample_pairs,
 )
 from .evaluation import (
     MetricsRecord,
@@ -52,12 +50,6 @@ from .federation import (
     run_experiment,
     run_round,
 )
-from .model import (
-    ItemEmbeddings,
-    UserProfile,
-    bpr_loss,
-    local_train,
-    predict_score,
-)
+from .model import ItemEmbeddings, UserProfile
 
 __version__ = "0.1.0"

@@ -85,7 +85,6 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 }
 TOP_LEVEL_DEFAULTS: dict[str, Any] = {
     "seed": _EXPERIMENT.seed,
-    "threads": _EXPERIMENT.threads,
 }
 
 
@@ -159,7 +158,6 @@ def build_experiment(resolved: dict) -> ExperimentConfig:
             topk=tuple(int(k) for k in resolved["eval"]["topk"]),
             seed=int(resolved["seed"]),
             participation=float(resolved["federation"]["participation"]),
-            threads=int(resolved["threads"]),
             dump_round=resolved["eval"]["dump_round"],
         )
         config.validate()
@@ -244,8 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         resolved = resolve_config(document)
         if args.seed is not None:
             resolved["seed"] = args.seed
-        if args.threads is not None:
-            resolved["threads"] = args.threads
         if args.dump_updates is not None:
             resolved["eval"]["dump_round"] = args.dump_updates
         config = build_experiment(resolved)
@@ -345,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="JSON config path")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     run_p.add_argument(
         "--dump-updates", type=int, default=None, metavar="ROUND",
         help="export the target item's raw updates at this round",

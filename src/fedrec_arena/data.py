@@ -1,4 +1,4 @@
-"""Interaction datasets: file ingestion, synthesis, splitting, pair sampling.
+"""Interaction datasets: file ingestion, synthesis, splitting, negative sampling.
 
 All ids are dense integers starting at 0. Feedback is implicit: ratings in
 input files are parsed and thrown away, only (user, item, order) survives.
@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -22,10 +23,6 @@ class RatingsParseError(ValueError):
 
 class EmptyDatasetError(ValueError):
     """Input produced zero interactions."""
-
-
-class DegenerateUserError(ValueError):
-    """User has no valid negative item to sample; skip them for the round."""
 
 
 @dataclass
@@ -126,26 +123,51 @@ def leave_one_out_split(dataset: InteractionDataset) -> InteractionDataset:
     return dataset
 
 
-def sample_pairs(profile, num_items: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one uniform negative per train item, rejecting the user's own items.
+def draw_round_pairs(
+    profiles, num_items: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one uniform negative per train item of every profile, from one stream.
 
-    Returns an (n, 2) array of (positive, negative) items, one row per train
-    item in order. Negatives avoid the full interaction set, which includes
-    the held-out test item. Deterministic for a given rng state.
+    Returns ``(owner, pos, neg)``: row r pairs the positive ``pos[r]`` with
+    the negative ``neg[r]`` for ``profiles[owner[r]]``. Rows run over the
+    profiles in the given order and each profile's train items in order, so
+    ``owner`` ascends. A negative avoids its owner's full interaction set,
+    which includes the held-out test item: every row draws once, then only
+    the rejected rows redraw, in row order, until none is left. A profile
+    whose interactions cover every item has no candidate negative and draws
+    no pairs. Deterministic for a given rng state.
     """
-    forbidden = np.zeros(num_items, dtype=bool)
-    forbidden[list(profile.interacted)] = True
-    if int(forbidden.sum()) >= num_items:
-        raise DegenerateUserError(f"user {profile.user_id} has no candidate negatives")
-    positives = np.asarray(profile.train_items, dtype=np.int64)
-    negatives = np.empty(positives.size, dtype=np.int64)
-    pending = np.arange(positives.size)
+    sizes = [len(p.interacted) for p in profiles]
+    forbidden = np.zeros((len(profiles), num_items), dtype=bool)
+    forbidden[
+        np.repeat(np.arange(len(profiles)), sizes),
+        np.fromiter(chain.from_iterable(p.interacted for p in profiles), np.int64, sum(sizes)),
+    ] = True
+    trainable = ~forbidden.all(axis=1)
+    counts = [len(p.train_items) if ok else 0 for p, ok in zip(profiles, trainable)]
+    owner = np.repeat(np.arange(len(profiles)), counts)
+    pos = np.fromiter(
+        chain.from_iterable(p.train_items for p, n in zip(profiles, counts) if n),
+        np.int64,
+        owner.size,
+    )
+    neg = rng.integers(0, num_items, size=owner.size)
+    pending = np.flatnonzero(forbidden[owner, neg])
     while pending.size:
         draws = rng.integers(0, num_items, size=pending.size)
-        ok = ~forbidden[draws]
-        negatives[pending[ok]] = draws[ok]
-        pending = pending[~ok]
-    return np.column_stack((positives, negatives))
+        neg[pending] = draws
+        pending = pending[forbidden[owner[pending], draws]]
+    return owner, pos, neg
+
+
+def check_synthetic_shape(n_users: int, n_items: int, interactions_per_user: int) -> None:
+    """Reject a synthetic shape that generate_synthetic cannot draw."""
+    if interactions_per_user < 2:
+        raise ValueError("interactions_per_user must be >= 2")
+    if n_items <= interactions_per_user:
+        raise ValueError("n_items must exceed interactions_per_user")
+    if n_users < 1:
+        raise ValueError("n_users must be >= 1")
 
 
 def generate_synthetic(
@@ -164,12 +186,7 @@ def generate_synthetic(
     exp(affinity) * (popularity_rank + 1) ** -popularity_skew.
     The per-user sampling sequence is the order key.
     """
-    if interactions_per_user < 2:
-        raise ValueError("interactions_per_user must be >= 2")
-    if n_items <= interactions_per_user:
-        raise ValueError("n_items must exceed interactions_per_user")
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
+    check_synthetic_shape(n_users, n_items, interactions_per_user)
 
     user_factors = rng.normal(0.0, 1.0, size=(n_users, latent_dim))
     item_factors = rng.normal(0.0, 1.0, size=(n_items, latent_dim))

@@ -1,19 +1,19 @@
 """Round engine: broadcast, local training, per-item aggregation, timeline.
 
-Each round's uploads form one contribution table: parallel arrays of
+A round trains every participant at once: one draw of every negative, one
+gradient pass. Its uploads form one contribution table: parallel arrays of
 contributor ids, item ids and delta rows, sorted by (item, contributor), so
 every item's contributions are one contiguous block of rows.
 
 Determinism contract: every random draw comes from a substream keyed by
-(master seed, purpose tag, round, actor id), so results are bit-identical
-for a fixed seed no matter how users are scheduled or how many worker
-threads run.
+(master seed, purpose tag, round[, actor id]). A round's negatives come from
+one stream consumed in user-id order, so results are bit-identical for a
+fixed seed whatever the order of the profile list.
 """
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,15 +23,15 @@ from . import evaluation
 from .aggregation import AggregatorSpec, aggregate_item, log as aggregation_log
 from .attack import AttackConfig, AttackRuntime
 from .data import (
-    DegenerateUserError,
     InteractionDataset,
+    check_synthetic_shape,
+    draw_round_pairs,
     generate_synthetic,
     leave_one_out_split,
     load_dataset,
     parse_ratings,
-    sample_pairs,
 )
-from .model import ItemEmbeddings, UserProfile, local_train
+from .model import ItemEmbeddings, UserProfile, train_step
 
 log = logging.getLogger("fedrec_arena.federation")
 
@@ -56,8 +56,8 @@ class SeedStreams:
     def user_init(self, user_id: int) -> np.random.Generator:
         return self._stream(_USER_INIT, user_id)
 
-    def pairs(self, round_index: int, user_id: int) -> np.random.Generator:
-        return self._stream(_PAIRS, round_index, user_id)
+    def negatives(self, round_index: int) -> np.random.Generator:
+        return self._stream(_PAIRS, round_index)
 
     def fake_noise(self, round_index: int, fake_id: int) -> np.random.Generator:
         return self._stream(_FAKE_NOISE, round_index, fake_id)
@@ -104,6 +104,8 @@ class ExperimentConfig:
     topk: tuple[int, ...] = (5, 10)
     seed: int = 0
     participation: float = 1.0
+    # Only 1 is valid: a round trains every participant in one array pass.
+    # The field stays because perfbench/workloads.py still passes threads=1.
     threads: int = 1
     dump_round: Optional[int] = None
 
@@ -118,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("participation must be in (0, 1]")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: a round trains every participant in one pass")
         if any(k < 1 for k in self.topk):
             raise ValueError("every topk entry must be >= 1")
         if self.dump_round is not None and not 1 <= self.dump_round <= self.rounds:
@@ -130,7 +134,9 @@ class ExperimentConfig:
         if isinstance(target, bool) or not isinstance(target, (int, np.integer, type(None))):
             raise ValueError(f"attack target_item must be an integer item id, got {target!r}")
         if self.dataset.kind == "synthetic":
-            self.check_item_count(self.dataset.items)
+            ds = self.dataset
+            check_synthetic_shape(ds.users, ds.items, ds.interactions_per_user)
+            self.check_item_count(ds.items)
 
     def _attacking(self) -> bool:
         return self.attack.kind != "none" and self.attack.fake_fraction > 0
@@ -232,18 +238,19 @@ def run_round(
     streams: SeedStreams,
     learning_rate: float = 0.05,
     participation: float = 1.0,
-    threads: int = 1,
     capture_target: bool = False,
 ) -> tuple[ItemEmbeddings, RoundLedger]:
     """One global round: local training, fake uploads, per-item aggregation.
 
-    Items nobody touched carry over bit-identically.
+    Participants are taken in user-id order, whatever the order of
+    ``genuine_profiles``. Items nobody touched carry over bit-identically.
     """
     round_index = embeddings.round
 
     participants = list(genuine_profiles)
     if attack.active(round_index):
         participants.extend(attack.baseline_profiles)
+    participants.sort(key=lambda p: p.user_id)
     if participation < 1.0 and participants:
         keep = max(1, int(round(participation * len(participants))))
         chosen = streams.participation(round_index).choice(
@@ -251,35 +258,35 @@ def run_round(
         )
         participants = [participants[i] for i in sorted(chosen)]
 
-    def step(profile: UserProfile) -> tuple[int, np.ndarray, np.ndarray]:
-        rng = streams.pairs(round_index, profile.user_id)
-        try:
-            pairs = sample_pairs(profile, embeddings.num_items, rng)
-        except DegenerateUserError:
-            return profile.user_id, np.empty(0, dtype=np.int64), np.empty((0, embeddings.dim))
-        return (profile.user_id, *local_train(profile, embeddings, pairs, learning_rate))
-
-    if threads > 1 and len(participants) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            uploads = list(pool.map(step, participants))
-    else:
-        uploads = [step(p) for p in participants]
-    noise_rngs = [
-        streams.fake_noise(round_index, fake_id) for fake_id in attack.fake_ids
-    ]
-    uploads.extend(attack.crafted_updates(embeddings, noise_rngs))
-
-    # int32 ids halve the index every ledger keeps
-    users = np.repeat(
-        np.array([user for user, _, _ in uploads], dtype=np.int32),
-        [len(i) for _, i, _ in uploads],
+    owner, pos, neg = draw_round_pairs(
+        participants, embeddings.num_items, streams.negatives(round_index)
     )
-    items = np.concatenate(
-        [np.empty(0, dtype=np.int32)] + [i for _, i, _ in uploads], dtype=np.int32
+    user_rows = np.array([p.user_embedding for p in participants]).reshape(-1, embeddings.dim)
+    items, who, scale, stepped = train_step(
+        user_rows, embeddings.matrix, owner, pos, neg, learning_rate
     )
-    vecs = np.concatenate([np.empty((0, embeddings.dim))] + [v for _, _, v in uploads])
-    order = np.lexsort((users, items))
-    users, items, vecs = users[order], items[order], vecs[order]
+    for profile, row in zip(participants, stepped):
+        profile.user_embedding = row
+    noise_rngs = [streams.fake_noise(round_index, fake_id) for fake_id in attack.fake_ids]
+    crafted = attack.crafted_updates(embeddings, noise_rngs)
+
+    # Row k of the table is scale[k] * sources[who[k]]: the old participant
+    # embeddings, then the crafted rows at scale 1. Crafted fake ids exceed
+    # every participant id and training emits (item, user) order, so one
+    # stable sort by item orders the whole table by (item, contributor).
+    sources = np.concatenate([user_rows] + [deltas for _, _, deltas in crafted])
+    source_ids = np.array(
+        [p.user_id for p in participants] + [f for f, fake_items, _ in crafted for _ in fake_items],
+        dtype=np.int32,  # int32 ids halve the index every ledger keeps
+    )
+    items = np.concatenate([items] + [fake_items for _, fake_items, _ in crafted])
+    who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
+    scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
+    order = np.argsort(items, kind="stable")
+    items, who = items[order].astype(np.int32), who[order]
+    users = source_ids[who]
+    vecs = sources[who]
+    vecs *= scale[order][:, None]
 
     warnings: list[str] = []
     fallbacks: list[int] = []
@@ -309,7 +316,7 @@ def run_round(
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Drive the full timeline and collect the metric series.
 
-    Fully deterministic given the config; thread count never changes results.
+    Fully deterministic given the config.
     """
     started = time.perf_counter()
     config.validate()
@@ -360,7 +367,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             streams,
             learning_rate=config.learning_rate,
             participation=config.participation,
-            threads=config.threads,
             capture_target=capture,
         )
         ledgers.append(ledger)

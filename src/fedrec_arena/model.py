@@ -1,15 +1,15 @@
-"""Matrix-factorization model and per-user local BPR training.
+"""Matrix-factorization model and local BPR training.
 
 The global model is one embedding vector per item; each user additionally
 holds a private embedding that never leaves the client. A local training
-step is one full-batch gradient step on the pairwise ranking loss
+step is one full-batch gradient step on the user's pairwise ranking loss
 L = -sum_i ln sigmoid(score(pos_i) - score(neg_i)), uploaded as one delta
-row per touched item.
+row per touched item. Every participant of a round steps in one pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,60 +49,47 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_score(user_embedding: np.ndarray, item_embedding: np.ndarray) -> float:
-    """Dot-product preference score."""
-    if user_embedding.shape != item_embedding.shape:
-        raise ValueError(
-            f"dimension mismatch: {user_embedding.shape} vs {item_embedding.shape}"
-        )
-    return float(np.dot(user_embedding, item_embedding))
-
-
-def bpr_loss(
-    user_embedding: np.ndarray, embeddings: ItemEmbeddings, pairs: Sequence[tuple[int, int]]
-) -> float:
-    """-sum ln sigmoid(y_pos - y_neg), stabilized as softplus(-(y_pos - y_neg))."""
-    if not pairs:
-        return 0.0
-    pos = np.fromiter((p for p, _ in pairs), dtype=np.int64, count=len(pairs))
-    neg = np.fromiter((n for _, n in pairs), dtype=np.int64, count=len(pairs))
-    margin = (embeddings.matrix[pos] - embeddings.matrix[neg]) @ user_embedding
-    return float(np.logaddexp(0.0, -margin).sum())
-
-
-def local_train(
-    profile: UserProfile,
-    embeddings: ItemEmbeddings,
-    pairs: Sequence[tuple[int, int]],
+def train_step(
+    users: np.ndarray,
+    matrix: np.ndarray,
+    owner: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
     learning_rate: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One full-batch gradient step; returns the upload as (items, deltas).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One full-batch gradient step for every user at once.
 
-    ``pairs`` is an (n, 2) array of (positive, negative) items or a list of
-    such tuples. Item deltas are -lr * dL/dv_i for every item appearing in
-    the pairs, as rows of ``deltas`` in ascending item order; the user
-    embedding moves by -lr * dL/du in place. Items whose accumulated delta
-    is exactly zero are omitted (only nonzero entries are uploaded).
+    Pair r is (``pos[r]``, ``neg[r]``) of user row ``users[owner[r]]``, with
+    ``owner`` ascending. Returns ``(items, who, scale, stepped)``: the upload
+    table, one row per (item, user) in (item, user) order, whose row k is
+    the delta ``scale[k] * users[who[k]]`` = -lr * dL/dv for item
+    ``items[k]`` and user row ``who[k]``; and the user matrix after each
+    user's step of -lr * dL/du from the old point. Rows whose delta is
+    exactly zero are omitted (only nonzero entries are uploaded).
     """
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
-    if len(pairs) == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, embeddings.dim))
-    u = profile.user_embedding
-    pair_arr = np.asarray(pairs, dtype=np.int64)
-    pos, neg = pair_arr[:, 0], pair_arr[:, 1]
-    diff = embeddings.matrix[pos] - embeddings.matrix[neg]
-    margin = diff @ u
+    if owner.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0), users.copy()
+    num_users = len(users)
+    diff = matrix[pos]
+    diff -= matrix[neg]
+    margin = np.einsum("nd,nd->n", diff, users[owner])
     # dL/dmargin = -sigmoid(-margin); positives gain +c*u, negatives -c*u
     c = _sigmoid(-margin)
 
-    # every item's delta is (sum of its +-c coefficients) * u
-    sums = np.bincount(pos, weights=c, minlength=embeddings.num_items)
-    sums -= np.bincount(neg, weights=c, minlength=embeddings.num_items)
-    touched = np.nonzero(sums)[0]
-    deltas = (learning_rate * sums[touched])[:, None] * u
-    nonzero_rows = np.any(deltas != 0.0, axis=1)
+    # every (item, user) delta is (sum of its +-c coefficients) * u
+    keys = np.concatenate((pos * num_users + owner, neg * num_users + owner))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    scale = learning_rate * np.add.reduceat(np.concatenate((c, -c))[order], starts)
+    items, who = np.divmod(keys[starts], num_users)
+    # a row scale * u is all zero exactly when scale * max|u| rounds to zero
+    largest = np.abs(users).max(axis=1)[who]
+    kept = (scale != 0.0) & (np.abs(scale) * largest != 0.0)
 
-    profile.user_embedding = u + learning_rate * (diff.T @ c)
-    return touched[nonzero_rows], deltas[nonzero_rows]
-
+    diff *= c[:, None]
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+    stepped = users.copy()
+    stepped[owner[firsts]] += learning_rate * np.add.reduceat(diff, firsts, axis=0)
+    return items[kept], who[kept], scale[kept], stepped

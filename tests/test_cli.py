@@ -43,6 +43,8 @@ def test_unknown_key_names_field_path():
         resolve_config({"attack": {"lambda_typo": 3}})
     with pytest.raises(ConfigError, match="spelling"):
         resolve_config({"spelling": {}})
+    with pytest.raises(ConfigError, match="threads"):
+        resolve_config({"threads": 1})
 
 
 def test_run_minimal_config_row_count(tmp_path):
@@ -70,6 +72,12 @@ def test_run_hics_z_above_dim_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, bad)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "hics_z" in capsys.readouterr().err
+
+
+def test_run_items_not_above_interactions_per_user_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, {"dataset": {"items": 10, "interactions_per_user": 20}})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "interactions_per_user" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

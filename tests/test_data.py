@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from fedrec_arena.data import (
-    DegenerateUserError,
     EmptyDatasetError,
     InteractionDataset,
     RatingsParseError,
+    draw_round_pairs,
     dump_dataset,
     generate_synthetic,
     leave_one_out_split,
     load_dataset,
     parse_ratings,
-    sample_pairs,
 )
 from fedrec_arena.model import UserProfile
 
@@ -115,15 +114,21 @@ def test_split_held_out_item_has_maximal_order_key():
 
 # ---------------------------------------------------------------- pair sampling
 
+def pairs_of(profile, num_items, rng):
+    """One profile's (positive, negative) rows from draw_round_pairs."""
+    _, pos, neg = draw_round_pairs([profile], num_items, rng)
+    return np.column_stack((pos, neg))
+
+
 def test_sample_pairs_only_possible_negative():
     profile = make_profile(0, train=[0])
-    pairs = sample_pairs(profile, 2, np.random.default_rng(0))
+    pairs = pairs_of(profile, 2, np.random.default_rng(0))
     assert pairs.tolist() == [[0, 1]]
 
 
 def test_sample_pairs_count_and_exclusions():
     profile = make_profile(3, train=[0, 1], test=2)
-    pairs = sample_pairs(profile, 10, np.random.default_rng(5))
+    pairs = pairs_of(profile, 10, np.random.default_rng(5))
     assert len(pairs) == 2
     for pos, neg in pairs:
         assert pos in (0, 1)
@@ -132,8 +137,8 @@ def test_sample_pairs_count_and_exclusions():
 
 def test_sample_pairs_deterministic_for_fixed_state():
     profile = make_profile(0, train=[0, 1, 2], test=3)
-    a = sample_pairs(profile, 50, np.random.default_rng(42))
-    b = sample_pairs(profile, 50, np.random.default_rng(42))
+    a = pairs_of(profile, 50, np.random.default_rng(42))
+    b = pairs_of(profile, 50, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
@@ -149,16 +154,37 @@ def test_sample_pairs_never_hits_interactions_exhaustively():
         profile = make_profile(0, train=train, test=test)
         if len(profile.interacted) >= n_items:
             continue
-        pairs = sample_pairs(profile, n_items, np.random.default_rng(trial))
+        pairs = pairs_of(profile, n_items, np.random.default_rng(trial))
         for _, neg in pairs:
             assert neg not in profile.interacted
             assert neg != test
 
 
-def test_sample_pairs_degenerate_user_raises():
-    profile = make_profile(0, train=[0, 1], test=2)
-    with pytest.raises(DegenerateUserError):
-        sample_pairs(profile, 3, np.random.default_rng(0))
+def test_sample_pairs_degenerate_user_draws_nothing():
+    degenerate = make_profile(0, train=[0, 1], test=2)
+    other = make_profile(1, train=[1], test=0)
+    owner, pos, neg = draw_round_pairs([degenerate, other], 3, np.random.default_rng(0))
+    assert owner.tolist() == [1]
+    assert pos.tolist() == [1]
+    assert neg.tolist() == [2]
+
+
+def test_draw_round_pairs_consumes_one_stream_in_row_order():
+    profiles = [make_profile(0, train=[4, 1, 3], test=0), make_profile(1, train=[2], test=7)]
+    owner, pos, neg = draw_round_pairs(profiles, 8, np.random.default_rng(3))
+    assert owner.tolist() == [0, 0, 0, 1]
+    assert pos.tolist() == [4, 1, 3, 2]
+    # replay: every row draws once, then the rejected rows redraw in row order
+    replay = np.random.default_rng(3)
+    expected = replay.integers(0, 8, size=4)
+    rejected = [r for r in range(4) if expected[r] in profiles[owner[r]].interacted]
+    redraws = 0
+    while rejected:
+        expected[rejected] = replay.integers(0, 8, size=len(rejected))
+        rejected = [r for r in rejected if expected[r] in profiles[owner[r]].interacted]
+        redraws += 1
+    assert redraws > 0
+    assert neg.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------- synthesis

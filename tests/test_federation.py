@@ -1,11 +1,14 @@
+import copy
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedrec_arena import federation
 from fedrec_arena.aggregation import AggregatorSpec
 from fedrec_arena.attack import AttackConfig, AttackRuntime
-from fedrec_arena.data import sample_pairs
+from fedrec_arena.data import draw_round_pairs
 from fedrec_arena.federation import (
     DatasetConfig,
     ExperimentConfig,
@@ -18,7 +21,9 @@ from fedrec_arena.federation import (
     run_experiment,
     run_round,
 )
-from fedrec_arena.model import ItemEmbeddings, UserProfile, local_train
+from fedrec_arena.model import ItemEmbeddings, UserProfile
+
+from reference import DegenerateUserError, local_train, sample_pairs
 
 
 def small_config(**overrides):
@@ -61,7 +66,8 @@ def test_single_user_fedavg_applies_exact_update():
     profile = UserProfile(0, np.random.default_rng(6).normal(size=4), {0, 1}, [0, 1])
 
     shadow = UserProfile(0, profile.user_embedding.copy(), {0, 1}, [0, 1])
-    pairs = sample_pairs(shadow, 10, streams.pairs(1, 0))
+    _, pos, neg = draw_round_pairs([shadow], 10, streams.negatives(1))
+    pairs = np.column_stack((pos, neg))
     expected = dict(zip(*local_train(shadow, ItemEmbeddings(1, matrix.copy()), pairs, 0.05)))
 
     after, ledger = run_round(emb, [profile], no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
@@ -140,7 +146,8 @@ def test_round_orders_contributions_by_contributor_whatever_the_upload_order(spe
             profiles = profiles[::-1]
         after, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
         outcomes.append(after.matrix)
-        assert not ledger.warnings
+        # the named rule, not its median fallback, aggregated at least one item
+        assert len(ledger.warnings) < len(np.unique(ledger.items))
         for item in np.unique(ledger.items):
             contributors = ledger.users[ledger.items == item]
             assert np.all(np.diff(contributors) > 0), f"item {item}: {contributors}"
@@ -161,6 +168,92 @@ def test_round_logs_one_fallback_record(caplog):
     assert f"krum degenerate on {len(items)} items" in records[0].getMessage()
 
 
+def test_round_skips_a_participant_who_interacted_with_every_item():
+    config = small_config()
+    profiles, emb, streams = _round_inputs(config)
+    profiles = profiles[:6]
+    everything = profiles[2]
+    everything.interacted = set(range(emb.num_items))
+    before = everything.user_embedding.copy()
+    _, ledger = run_round(emb, profiles, no_attack_runtime(), config.aggregator, streams)
+    assert set(ledger.users.tolist()) == {p.user_id for p in profiles} - {everything.user_id}
+    assert np.array_equal(everything.user_embedding, before)
+
+
+@pytest.mark.parametrize(
+    "participation, kind", [(1.0, "random"), (0.6, "random"), (1.0, "poisonfrs")]
+)
+def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
+    """On the engine's own negatives, run_round equals sample_pairs + local_train
+    per participant: the same (item, user) keys exactly, crafted rows exactly,
+    trained rows and user embeddings within 1e-12 of their largest entry."""
+    attack = AttackConfig(kind=kind, fake_fraction=0.1, start_round=1, filler_count=3)
+    config = small_config(participation=participation, attack=attack)
+    profiles, emb, streams = _round_inputs(config)
+    num_items = emb.num_items
+    profiles[0].interacted = set(range(num_items))  # no candidate negative
+    profiles[1].train_items = profiles[1].train_items[:1]
+    runtime = AttackRuntime(attack, len(profiles), target_item=0)
+    dataset = resolve_dataset(config.dataset, SeedStreams(config.seed))
+    runtime.prepare_baselines(leave_one_out_split(dataset), config.dim, streams.baseline())
+
+    draws, blocks = [], []
+    real_draw, real_aggregate = federation.draw_round_pairs, federation.aggregate_item
+
+    def spy_draw(participants, items, rng):
+        draws.append(([copy.deepcopy(p) for p in participants], *real_draw(participants, items, rng)))
+        return draws[-1][1:]
+
+    def spy_aggregate(spec, item, rows, warnings):
+        blocks.append(rows.copy())
+        return real_aggregate(spec, item, rows, warnings)
+
+    monkeypatch.setattr(federation, "draw_round_pairs", spy_draw)
+    monkeypatch.setattr(federation, "aggregate_item", spy_aggregate)
+    for round_index in (1, 2, 3):
+        emb.round = round_index
+        runtime.observe_broadcast(emb)
+        broadcast = emb.copy()
+        draws.clear()
+        blocks.clear()
+        emb, ledger = run_round(
+            emb, profiles, runtime, config.aggregator, streams, participation=participation
+        )
+        (shadows, owner, pos, neg), = draws
+        if participation == 1.0:
+            assert {0, 1} <= {s.user_id for s in shadows}
+        expected = {}
+        for row, shadow in enumerate(shadows):
+            mine = owner == row
+            try:
+                positives = sample_pairs(shadow, num_items, np.random.default_rng(0))[:, 0]
+            except DegenerateUserError:
+                assert not mine.any()
+                continue
+            assert pos[mine].tolist() == positives.tolist()
+            assert not set(neg[mine].tolist()) & shadow.interacted
+            pairs = np.column_stack((pos[mine], neg[mine]))
+            upload = local_train(shadow, broadcast, pairs, config.learning_rate)
+            expected.update(((int(i), shadow.user_id), d) for i, d in zip(*upload))
+        noise = [streams.fake_noise(round_index, f) for f in runtime.fake_ids]
+        crafted = {}
+        for fake, items, deltas in runtime.crafted_updates(broadcast, noise):
+            crafted.update(((int(i), fake), d) for i, d in zip(items, deltas))
+        rows = np.concatenate(blocks) if blocks else np.empty((0, config.dim))
+        got = {(int(i), int(u)): r for i, u, r in zip(ledger.items, ledger.users, rows)}
+        by_item_then_user = np.lexsort((ledger.users, ledger.items))
+        assert np.array_equal(by_item_then_user, np.arange(ledger.items.size))
+        assert got.keys() == expected.keys() | crafted.keys()
+        assert all(np.array_equal(got[key], d) for key, d in crafted.items())
+        largest = max(np.abs(d).max() for d in expected.values())
+        assert max(np.abs(got[key] - d).max() for key, d in expected.items()) <= 1e-12 * largest
+        trained = {s.user_id: s.user_embedding for s in shadows}
+        for p in profiles + runtime.baseline_profiles:
+            if p.user_id in trained:
+                tolerance = 1e-12 * np.abs(trained[p.user_id]).max()
+                assert np.abs(p.user_embedding - trained[p.user_id]).max() <= tolerance
+
+
 # ------------------------------------------------------------- experiment
 
 def test_experiment_deterministic_repeat():
@@ -172,11 +265,16 @@ def test_experiment_deterministic_repeat():
 
 
 def test_experiment_thread_count_does_not_change_results():
+    # A round trains every participant in one array pass, so 1 is the only
+    # thread count: it matches the default run, and any other is refused
+    # before a round is run rather than giving different results.
+    default = run_experiment(small_config())
     serial = run_experiment(small_config(threads=1))
-    threaded = run_experiment(small_config(threads=8))
-    assert np.array_equal(serial.final_embeddings.matrix, threaded.final_embeddings.matrix)
-    assert [m.hr_at for m in serial.metrics] == [m.hr_at for m in threaded.metrics]
-    assert [m.footprint for m in serial.metrics] == [m.footprint for m in threaded.metrics]
+    assert np.array_equal(default.final_embeddings.matrix, serial.final_embeddings.matrix)
+    assert [m.hr_at for m in default.metrics] == [m.hr_at for m in serial.metrics]
+    assert [m.footprint for m in default.metrics] == [m.footprint for m in serial.metrics]
+    with pytest.raises(ValueError, match="threads"):
+        run_experiment(small_config(threads=8))
 
 
 def test_no_fake_contributions_before_start_round():
@@ -254,6 +352,12 @@ def test_validate_rejects_bad_configs():
         small_config(dump_round=99).validate()
     with pytest.raises(ValueError):
         small_config(dump_round=0).validate()
+    with pytest.raises(ValueError, match="threads"):
+        small_config(threads=2).validate()
+    for shape in (dict(items=6), dict(users=0), dict(interactions_per_user=1)):
+        dataset = DatasetConfig(users=40, items=30, interactions_per_user=6)
+        with pytest.raises(ValueError):
+            small_config(dataset=replace(dataset, **shape)).validate()
     def attacked(**fields):
         base = dict(kind="poisonfrs", fake_fraction=0.1, start_round=2, filler_count=2)
         return small_config(attack=AttackConfig(**{**base, **fields}))
@@ -310,6 +414,6 @@ def test_partial_participation_limits_contributors():
 def test_seed_streams_reproducible_and_disjoint():
     a = SeedStreams(5)
     b = SeedStreams(5)
-    assert a.pairs(3, 7).integers(0, 1000, 5).tolist() == b.pairs(3, 7).integers(0, 1000, 5).tolist()
-    assert a.pairs(3, 7).integers(0, 1000, 5).tolist() != a.pairs(3, 8).integers(0, 1000, 5).tolist()
-    assert a.pairs(3, 7).integers(0, 1000, 5).tolist() != a.fake_noise(3, 7).integers(0, 1000, 5).tolist()
+    assert a.negatives(3).integers(0, 1000, 5).tolist() == b.negatives(3).integers(0, 1000, 5).tolist()
+    assert a.negatives(3).integers(0, 1000, 5).tolist() != a.negatives(4).integers(0, 1000, 5).tolist()
+    assert a.negatives(3).integers(0, 1000, 5).tolist() != a.fake_noise(3, 7).integers(0, 1000, 5).tolist()

@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fedrec_arena.model import (
-    ItemEmbeddings,
-    UserProfile,
-    bpr_loss,
-    local_train,
-    predict_score,
-)
+from fedrec_arena.model import ItemEmbeddings, UserProfile, train_step
 from fedrec_arena.evaluation import rank_metrics
+
+from reference import bpr_loss, predict_score
 
 
 def profile_with(u, interacted=(), train=(), test=None):
@@ -25,6 +21,18 @@ def profile_with(u, interacted=(), train=(), test=None):
 
 def embeddings_of(rows):
     return ItemEmbeddings(round=1, matrix=np.asarray(rows, dtype=float))
+
+
+def train_one(profile, embeddings, pairs, learning_rate):
+    """train_step on one user's pairs, as (items, deltas); moves the profile's embedding."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    users = profile.user_embedding[None, :]
+    owner = np.zeros(len(pairs), dtype=np.int64)
+    items, who, scale, stepped = train_step(
+        users, embeddings.matrix, owner, pairs[:, 0], pairs[:, 1], learning_rate
+    )
+    profile.user_embedding = stepped[0]
+    return items, scale[:, None] * users[who]
 
 
 # ---------------------------------------------------------------- scoring
@@ -81,7 +89,7 @@ def test_local_train_empty_pairs_is_noop():
     emb = embeddings_of([[1.0, 2.0]])
     profile = profile_with([0.5, 0.5])
     before = profile.user_embedding.copy()
-    update = dict(zip(*local_train(profile, emb, [], 0.1)))
+    update = dict(zip(*train_one(profile, emb, [], 0.1)))
     assert update == {}
     assert np.array_equal(profile.user_embedding, before)
 
@@ -91,7 +99,7 @@ def test_local_train_hand_derived_one_pair():
     # so pos delta +0.5, neg delta -0.5, user delta 0
     emb = embeddings_of([[0.0], [0.0]])
     profile = profile_with([1.0])
-    update = dict(zip(*local_train(profile, emb, [(0, 1)], 1.0)))
+    update = dict(zip(*train_one(profile, emb, [(0, 1)], 1.0)))
     assert update[0] == pytest.approx([0.5])
     assert update[1] == pytest.approx([-0.5])
     assert profile.user_embedding == pytest.approx([1.0])
@@ -129,7 +137,7 @@ def test_local_train_matches_finite_differences():
             continue
         expected = _finite_difference_update(u, matrix, pairs, lr=0.05)
         profile = profile_with(u)
-        update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, 0.05)))
+        update = dict(zip(*train_one(profile, ItemEmbeddings(1, matrix), pairs, 0.05)))
         for item, exp in expected.items():
             got = update.get(item, np.zeros_like(exp))
             denom = max(np.max(np.abs(exp)), 1e-8)
@@ -141,7 +149,7 @@ def test_local_train_support_is_pair_items():
     matrix = rng.normal(size=(8, 3))
     profile = profile_with(rng.normal(size=3))
     pairs = [(0, 4), (2, 4), (0, 7)]
-    update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, 0.1)))
+    update = dict(zip(*train_one(profile, ItemEmbeddings(1, matrix), pairs, 0.1)))
     assert set(update) == {0, 2, 4, 7}
 
 
@@ -154,7 +162,7 @@ def test_local_train_small_step_never_increases_loss():
         pairs = [(0, 3), (1, 4), (2, 5)]
         before = bpr_loss(u, ItemEmbeddings(1, matrix), pairs)
         profile = profile_with(u.copy())
-        update = dict(zip(*local_train(profile, ItemEmbeddings(1, matrix), pairs, 1e-3)))
+        update = dict(zip(*train_one(profile, ItemEmbeddings(1, matrix), pairs, 1e-3)))
         stepped = matrix.copy()
         for item, delta in update.items():
             stepped[item] += delta
@@ -166,7 +174,7 @@ def test_local_train_updates_user_embedding_from_old_point():
     # user delta is lr * sum c_i (v_pos - v_neg) evaluated before the step
     emb = embeddings_of([[2.0], [-2.0]])
     profile = profile_with([0.0])
-    _, _ = local_train(profile, emb, [(0, 1)], 0.5)
+    _, _ = train_one(profile, emb, [(0, 1)], 0.5)
     # margin 0 at u=0, c=0.5: delta = 0.5 * 0.5 * (2 - (-2)) = 1.0
     assert profile.user_embedding == pytest.approx([1.0])
 
