@@ -9,7 +9,7 @@ from .aggregation import (
     agg_krum,
     agg_median,
     agg_trimmed_mean,
-    aggregate_item,
+    aggregate_round,
 )
 from .attack import (
     AttackConfig,

@@ -102,8 +102,7 @@ def select_fillers(
         raise ValueError(f"f must be in [0, {snapshot.shape[0] - 1}]")
     deviation = np.linalg.norm(snapshot - current, axis=1)
     order = np.argsort(-deviation, kind="stable")
-    fillers = [int(i) for i in order if i != target_item]
-    return fillers[:f]
+    return order[order != target_item][:f].tolist()
 
 
 def build_poison_state(
@@ -138,6 +137,11 @@ def craft_poisonfrs_update(
     noise_std is then added independently per entry coordinate when
     configured.
     """
+    return _add_noise(state, *_poisonfrs_upload(state, current), rng)
+
+
+def _poisonfrs_upload(state: PoisonState, current: ItemEmbeddings) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free upload every fake shares in a round."""
     if current.round < state.start_round:
         raise ValueError("attack not active before its start round")
     fillers = select_fillers(
@@ -149,7 +153,10 @@ def craft_poisonfrs_update(
         current.matrix[items[1:]] - state.snapshot[items[1:]],
     ))
     kept = np.any(deltas != 0.0, axis=1)
-    items, deltas = items[kept], deltas[kept]
+    return items[kept], deltas[kept]
+
+
+def _add_noise(state: PoisonState, items, deltas, rng) -> tuple[np.ndarray, np.ndarray]:
     if state.noise_std > 0:
         deltas = deltas + rng.normal(0.0, state.noise_std, size=deltas.shape)
     return items, deltas
@@ -262,7 +269,8 @@ class AttackRuntime:
         if self.config.kind != "poisonfrs" or not self.active(embeddings.round):
             return []
         assert self.state is not None
+        upload = _poisonfrs_upload(self.state, embeddings)  # the same for every fake
         return [
-            (fake_id, *craft_poisonfrs_update(self.state, embeddings, rng))
+            (fake_id, *_add_noise(self.state, *upload, rng))
             for fake_id, rng in zip(self.fake_ids, noise_rngs)
         ]

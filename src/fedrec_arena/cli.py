@@ -13,12 +13,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
 
-from .aggregation import RULES, AggregationError, AggregatorSpec, aggregate_item
+from .aggregation import RULES, AggregatorSpec, aggregate_round, degenerate_reason
 from .attack import ATTACK_KINDS, AttackConfig
 from .data import generate_synthetic, dump_dataset
 from .federation import (
@@ -35,23 +36,18 @@ class ConfigError(ValueError):
     """Invalid config document; message names the offending field path."""
 
 
-# The single source of every default is the dataclasses themselves; the
-# table below just maps document keys onto their fields.
-_DATASET = DatasetConfig()
-_ATTACK = AttackConfig()
-_AGG = AggregatorSpec()
+# The single source of every default is the dataclasses themselves: the
+# dataset, aggregator and attack sections are their fields, by name.
 _EXPERIMENT = ExperimentConfig()
+_RENAMED = {"scale": "lambda"}
+
+
+def _section(config) -> dict[str, Any]:
+    return {_RENAMED.get(f.name, f.name): getattr(config, f.name) for f in fields(config)}
+
+
 DEFAULTS: dict[str, dict[str, Any]] = {
-    "dataset": {
-        "kind": _DATASET.kind,
-        "users": _DATASET.users,
-        "items": _DATASET.items,
-        "latent_dim": _DATASET.latent_dim,
-        "interactions_per_user": _DATASET.interactions_per_user,
-        "popularity_skew": _DATASET.popularity_skew,
-        "path": _DATASET.path,
-        "format": _DATASET.format,
-    },
+    "dataset": _section(DatasetConfig()),
     "model": {
         "dim": _EXPERIMENT.dim,
         "learning_rate": _EXPERIMENT.learning_rate,
@@ -60,23 +56,8 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "rounds": _EXPERIMENT.rounds,
         "participation": _EXPERIMENT.participation,
     },
-    "aggregator": {
-        "rule": _AGG.rule,
-        "trim_beta": _AGG.trim_beta,
-        "krum_m": _AGG.krum_m,
-        "clip_bound": _AGG.clip_bound,
-        "hics_z": _AGG.hics_z,
-    },
-    "attack": {
-        "kind": _ATTACK.kind,
-        "fake_fraction": _ATTACK.fake_fraction,
-        "start_round": _ATTACK.start_round,
-        "filler_count": _ATTACK.filler_count,
-        "lambda": _ATTACK.scale,
-        "popular_count": _ATTACK.popular_count,
-        "noise_std": _ATTACK.noise_std,
-        "target_item": _ATTACK.target_item,
-    },
+    "aggregator": _section(AggregatorSpec()),
+    "attack": _section(AttackConfig()),
     "eval": {
         "every": _EXPERIMENT.eval_every,
         "topk": list(_EXPERIMENT.topk),
@@ -318,15 +299,13 @@ def cmd_aggcheck(args: argparse.Namespace) -> int:
         clip_bound=args.bound,
         hics_z=min(args.z, rows[0].size),
     )
-    warnings: list[str] = []
-    try:
-        out = aggregate_item(spec, 0, np.stack(rows), warnings)
-    except AggregationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for message in warnings:
-        log.warning(message)
-    print(",".join(f"{x:.9g}" for x in out))
+    vecs = np.stack(rows)
+    bank = np.zeros_like(vecs[:1])  # the one item's HiCS bank row
+    _, out, fallbacks = aggregate_round(spec, np.zeros(len(vecs), np.int32), vecs, bank)
+    if fallbacks.size:
+        reason = degenerate_reason(spec, *vecs.shape)
+        log.warning(f"item 0: {spec.rule} degenerate ({reason}); falling back to median")
+    print(",".join(f"{x:.9g}" for x in out[0]))
     return 0
 
 

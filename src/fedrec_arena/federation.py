@@ -1,9 +1,10 @@
-"""Round engine: broadcast, local training, per-item aggregation, timeline.
+"""Round engine: broadcast, local training, aggregation, timeline.
 
 A round trains every participant at once: one draw of every negative, one
 gradient pass. Its uploads form one contribution table: parallel arrays of
 contributor ids, item ids and delta rows, sorted by (item, contributor), so
-every item's contributions are one contiguous block of rows.
+every item's contributions are one contiguous block of rows. One call to
+``aggregation.aggregate_round`` aggregates every touched item from it.
 
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation
-from .aggregation import AggregatorSpec, aggregate_item, log as aggregation_log
+from .aggregation import AggregatorSpec, aggregate_round, log as aggregation_log
 from .attack import AttackConfig, AttackRuntime
 from .data import (
     InteractionDataset,
@@ -161,7 +162,7 @@ class RoundLedger:
     # says contributor users[r] uploaded a delta for item items[r]
     users: np.ndarray
     items: np.ndarray
-    warnings: list[str]  # one per item that fell back to the median
+    fallbacks: np.ndarray  # int32 ids of the items that fell back to the median
     # (contributor, delta) for the target item, kept only at the dump round
     target_contributions: Optional[list[tuple[int, np.ndarray]]] = None
 
@@ -239,11 +240,14 @@ def run_round(
     learning_rate: float = 0.05,
     participation: float = 1.0,
     capture_target: bool = False,
+    bank: Optional[np.ndarray] = None,
 ) -> tuple[ItemEmbeddings, RoundLedger]:
-    """One global round: local training, fake uploads, per-item aggregation.
+    """One global round: local training, fake uploads, aggregation.
 
     Participants are taken in user-id order, whatever the order of
     ``genuine_profiles``. Items nobody touched carry over bit-identically.
+    ``bank`` is the HiCS bank, one row per item, carried between rounds and
+    updated in place; None starts this round from an empty one.
     """
     round_index = embeddings.round
 
@@ -288,28 +292,22 @@ def run_round(
     vecs = sources[who]
     vecs *= scale[order][:, None]
 
-    warnings: list[str] = []
-    fallbacks: list[int] = []
+    if bank is None:
+        bank = np.zeros_like(embeddings.matrix)
+    touched, deltas, fallbacks = aggregate_round(spec, items, vecs, bank)
     matrix = embeddings.matrix.copy()
-    # where each item's block of rows starts, then the end of the last one
-    bounds = np.append(np.flatnonzero(np.diff(items, prepend=-1)), items.size).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        item = int(items[lo])
-        before = len(warnings)
-        matrix[item] = matrix[item] + aggregate_item(spec, item, vecs[lo:hi], warnings)
-        if len(warnings) > before:
-            fallbacks.append(item)
-    if fallbacks:
+    matrix[touched] += deltas
+    if fallbacks.size:
         aggregation_log.warning(
             "round %d: %s degenerate on %d items, fell back to median: %s",
-            round_index, spec.rule, len(fallbacks), fallbacks,
+            round_index, spec.rule, fallbacks.size, fallbacks.tolist(),
         )
 
     target_contributions = None
     if capture_target:
         lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
         target_contributions = list(zip(users[lo:hi].tolist(), vecs[lo:hi].copy()))
-    ledger = RoundLedger(round_index, users, items, warnings, target_contributions)
+    ledger = RoundLedger(round_index, users, items, fallbacks, target_contributions)
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
 
@@ -335,17 +333,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     attack = AttackRuntime(config.attack, dataset.num_users, target_item)
     attack.prepare_baselines(dataset, config.dim, streams.baseline())
 
-    # Work on a private aggregator copy: the bank must start empty every run,
-    # and an unset krum_m defaults to the true fake count (harness knowledge).
-    spec = replace(
-        config.aggregator,
-        krum_m=(
-            config.aggregator.krum_m
-            if config.aggregator.krum_m is not None
-            else attack.num_fakes
-        ),
-        hics_state={},
-    )
+    spec = config.aggregator  # an unset krum_m defaults to the true fake count
+    if spec.krum_m is None:
+        spec = replace(spec, krum_m=attack.num_fakes)
+    bank = np.zeros_like(embeddings.matrix)  # HiCS carry-over, empty every run
 
     # (genuine + fake users, items): whether the user ever uploaded for the item
     footprints = np.zeros((dataset.num_users + attack.num_fakes, dataset.num_items), dtype=bool)
@@ -368,6 +359,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             learning_rate=config.learning_rate,
             participation=config.participation,
             capture_target=capture,
+            bank=bank,
         )
         ledgers.append(ledger)
         footprints[ledger.users, ledger.items] = True
@@ -403,5 +395,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         profiles=profiles,
         dumps=dumps,
         wall_time=time.perf_counter() - started,
-        warnings_count=sum(len(l.warnings) for l in ledgers),
+        warnings_count=sum(l.fallbacks.size for l in ledgers),
     )

@@ -140,7 +140,7 @@ def target_counts(result) -> tuple[float, float, int, int]:
     Returns the mean genuine and mean fake contributor counts per round, the
     number of rounds the target received contributions, and the number of
     those in which its aggregation fell back to the median (the ledger keeps
-    one warning per fallback, prefixed by the item).
+    the ids of the items that fell back).
     """
     window = [l for l in result.ledgers if l.round >= ATTACK_START]
     target = result.target_item
@@ -150,9 +150,7 @@ def target_counts(result) -> tuple[float, float, int, int]:
     ]
     genuine = [int(np.count_nonzero(l.items == target)) - f for l, f in zip(window, fakes)]
     aggregated = sum(1 for l in window if np.any(l.items == target))
-    fallbacks = sum(
-        1 for l in window if any(w.startswith(f"item {target}:") for w in l.warnings)
-    )
+    fallbacks = sum(1 for l in window if np.any(l.fallbacks == target))
     return float(np.mean(genuine)), float(np.mean(fakes)), aggregated, fallbacks
 
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from fedrec_arena.aggregation import (
     agg_krum,
     agg_median,
     agg_trimmed_mean,
-    aggregate_item,
+    aggregate_round,
 )
+
+import reference
 
 V = lambda *xs: [np.asarray(x, dtype=float) for x in xs]
 
@@ -229,24 +232,30 @@ def test_hics_zero_row_beside_huge_row_does_not_overflow():
 
 # ------------------------------------------------------------- dispatch
 
-def test_aggregate_item_median_single_contribution():
-    spec = AggregatorSpec(rule="median")
-    out = aggregate_item(spec, 0, np.array([[7.0, -1.0]]), [])
+def one_item(spec, rows, item=0):
+    """aggregate_round on a table whose rows all belong to ``item``."""
+    rows = np.asarray(rows, dtype=float)
+    bank = np.zeros((item + 1, rows.shape[1]))
+    touched, deltas, fallbacks = aggregate_round(spec, np.full(len(rows), item, np.int32), rows, bank)
+    assert touched.tolist() == [item]
+    return deltas[0], fallbacks
+
+
+def test_aggregate_round_median_single_contribution():
+    out, _ = one_item(AggregatorSpec(rule="median"), [[7.0, -1.0]])
     assert out == pytest.approx([7.0, -1.0])
 
 
-def test_aggregate_item_degenerate_falls_back_to_median():
+def test_aggregate_round_degenerate_falls_back_to_median():
     spec = AggregatorSpec(rule="trimmed_mean", trim_beta=2)
-    warnings = []
-    out = aggregate_item(spec, 9, np.array([[1.0], [2.0], [100.0]]), warnings)
+    out, fallbacks = one_item(spec, [[1.0], [2.0], [100.0]], item=9)
     assert out == pytest.approx([2.0])
-    assert len(warnings) == 1 and "falling back to median" in warnings[0]
+    assert fallbacks.tolist() == [9]
 
 
-def test_aggregate_item_trim_beta_defaults_to_tenth():
+def test_aggregate_round_trim_beta_defaults_to_tenth():
     spec = AggregatorSpec(rule="trimmed_mean")  # beta = max(1, n // 10)
-    rows = np.array([[float(i)] for i in range(4)] + [[1000.0]])
-    out = aggregate_item(spec, 0, rows, [])
+    out, _ = one_item(spec, [[float(i)] for i in range(4)] + [[1000.0]])
     assert out == pytest.approx([(1 + 2 + 3) / 3])
 
 
@@ -289,3 +298,138 @@ def test_robustness_sanity_one_huge_outlier():
     assert np.linalg.norm(agg_median(vectors)) < 1
     assert np.linalg.norm(agg_trimmed_mean(vectors, 1)) < 1
     assert np.linalg.norm(agg_fedavg(vectors)) > 1
+
+
+# ------------------------------------------------------------- batched round vs per-item reference
+
+ALL_RULES = [
+    AggregatorSpec(rule="fedavg"),
+    AggregatorSpec(rule="median"),
+    AggregatorSpec(rule="trimmed_mean", trim_beta=2),
+    AggregatorSpec(rule="krum", krum_m=2),
+    AggregatorSpec(rule="clip", clip_bound=3.0),
+    AggregatorSpec(rule="hics", hics_z=3),
+]
+RULE_IDS = [spec.rule for spec in ALL_RULES]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_rounds_against_reference(spec, rounds, num_items, d):
+    """Run every round's table through aggregate_round and, item by item,
+    through reference.aggregate_item, both carrying their own HiCS bank.
+
+    ``rounds`` is a list of {item: (n, d) rows}. Every delta and bank row
+    must be bit-identical, and the fallback ids must be the items the
+    reference warned about. Returns the fallback ids of every round.
+    """
+    bank = np.zeros((num_items, d))
+    state = {}
+    seen = []
+    for blocks in rounds:
+        ids = sorted(blocks)
+        items = np.concatenate([np.full(len(blocks[i]), i, np.int32) for i in ids])
+        vecs = np.concatenate([blocks[i] for i in ids])
+        touched, deltas, fallbacks = aggregate_round(spec, items, vecs, bank)
+        assert touched.tolist() == ids
+        warned = []
+        for item, got in zip(ids, deltas):
+            messages = []
+            want = reference.aggregate_item(spec, item, blocks[item], messages, state)
+            assert same_bits(got, want), (item, got, want)
+            if messages:
+                warned.append(item)
+        assert fallbacks.dtype == np.int32 and fallbacks.tolist() == warned
+        for item, entry in state.items():
+            assert same_bits(bank[item], entry), item
+        seen.append(warned)
+    return seen
+
+
+def random_blocks(rng, counts, d, scale=1.0):
+    return {item: scale * rng.normal(size=(n, d)) for item, n in enumerate(counts)}
+
+
+@pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
+def test_round_mixing_counts_matches_reference(spec):
+    rng = np.random.default_rng(10)
+    counts = [1, 2, 3, 4, 5, 6, 9, 12, 3, 5, 1, 12, 7, 2]
+    rounds = [random_blocks(rng, counts, 4) for _ in range(2)]
+    fallbacks = check_rounds_against_reference(spec, rounds, len(counts), 4)
+    if spec.rule in ("trimmed_mean", "krum"):
+        # n <= 4 fails both rules here, so both bucket kinds share each round
+        assert all(0 < len(f) < len(counts) for f in fallbacks)
+        assert fallbacks[0] == [i for i, n in enumerate(counts) if n <= 4]
+
+
+@pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
+def test_round_with_exact_ties_matches_reference(spec):
+    # d = 24 so that the HiCS ranking sorts more coordinates than an
+    # insertion sort handles, where only a stable sort keeps ties in order
+    pairs = {
+        0: [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],  # krum: rows 1 and 2 tie
+        1: [[2.0, 2.0]] * 4,  # every score and every bank coordinate ties
+        2: [[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]],
+        3: [[3.0, 3.0], [0.0, 0.0], [3.0, 3.0], [0.0, 0.0]],
+        4: [[5.0, 5.0], [5.0, 5.0], [-5.0, -5.0], [-5.0, -5.0], [5.0, 5.0]],
+    }
+    blocks = {item: np.tile(np.array(rows), (1, 12)) for item, rows in pairs.items()}
+    spec = replace(spec, krum_m=0, trim_beta=1)
+    check_rounds_against_reference(spec, [blocks], 5, 24)
+    if spec.rule == "krum":
+        out, _ = one_item(spec, blocks[0])
+        assert out.tolist() == [1.0, 1.0] * 12  # lowest index among the tied rows
+
+
+@pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
+def test_round_of_single_contributions_matches_reference(spec):
+    rng = np.random.default_rng(11)
+    rounds = [random_blocks(rng, [1] * 6, 5, scale=4.0) for _ in range(2)]
+    fallbacks = check_rounds_against_reference(spec, rounds, 6, 5)
+    assert all(len(f) == (6 if spec.rule in ("trimmed_mean", "krum") else 0) for f in fallbacks)
+
+
+def test_krum_degenerate_in_one_bucket_only():
+    rng = np.random.default_rng(12)
+    spec = AggregatorSpec(rule="krum", krum_m=1)
+    counts = [2, 4, 5, 2, 4, 5]  # n - m - 2 < 1 only for n = 2
+    fallbacks = check_rounds_against_reference(spec, [random_blocks(rng, counts, 3)], 6, 3)
+    assert fallbacks == [[0, 3]]
+
+
+def test_trimmed_mean_default_beta_across_twenty():
+    rng = np.random.default_rng(13)
+    spec = AggregatorSpec(rule="trimmed_mean")  # beta 1 below n = 20, 2 from it
+    counts = [2, 3, 18, 19, 20, 21, 25, 19, 20]
+    fallbacks = check_rounds_against_reference(spec, [random_blocks(rng, counts, 3)], 9, 3)
+    assert fallbacks == [[0]]  # only n = 2 overtrims
+
+
+@pytest.mark.parametrize("z", [2, 4], ids=["z<d", "z=d"])
+def test_hics_bank_over_three_rounds_with_a_skipped_item(z):
+    rng = np.random.default_rng(14)
+    d = 4
+    rounds = [
+        {0: rng.normal(size=(3, d)), 1: rng.normal(size=(2, d)), 2: rng.normal(size=(3, d))},
+        {0: rng.normal(size=(2, d)), 2: rng.normal(size=(3, d))},  # item 1 skips a round
+        {0: rng.normal(size=(3, d)), 1: rng.normal(size=(3, d)), 2: rng.normal(size=(1, d))},
+    ]
+    spec = AggregatorSpec(rule="hics", hics_z=z)
+    assert check_rounds_against_reference(spec, rounds, 3, d) == [[], [], []]
+
+
+@pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
+def test_round_with_huge_fake_rows_beside_zero_rows_matches_reference(spec):
+    rng = np.random.default_rng(16)
+    rounds = []
+    for _ in range(3):
+        blocks = random_blocks(rng, [2, 5, 5, 7, 9, 1], 4, scale=0.05)
+        for item, rows in blocks.items():
+            rows[0] = 0.0
+            rows[-1] = 1e25 * rng.normal(size=4)
+        rounds.append(blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_rounds_against_reference(spec, rounds, 6, 4)

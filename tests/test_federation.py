@@ -147,7 +147,7 @@ def test_round_orders_contributions_by_contributor_whatever_the_upload_order(spe
         after, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
         outcomes.append(after.matrix)
         # the named rule, not its median fallback, aggregated at least one item
-        assert len(ledger.warnings) < len(np.unique(ledger.items))
+        assert len(ledger.fallbacks) < len(np.unique(ledger.items))
         for item in np.unique(ledger.items):
             contributors = ledger.users[ledger.items == item]
             assert np.all(np.diff(contributors) > 0), f"item {item}: {contributors}"
@@ -162,7 +162,7 @@ def test_round_logs_one_fallback_record(caplog):
         _, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
     items = np.unique(ledger.items)
     assert len(items) > 1
-    assert len(ledger.warnings) == len(items)
+    assert len(ledger.fallbacks) == len(items)
     records = [r for r in caplog.records if r.name == "fedrec_arena.aggregation"]
     assert len(records) == 1
     assert f"krum degenerate on {len(items)} items" in records[0].getMessage()
@@ -198,18 +198,18 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
     runtime.prepare_baselines(leave_one_out_split(dataset), config.dim, streams.baseline())
 
     draws, blocks = [], []
-    real_draw, real_aggregate = federation.draw_round_pairs, federation.aggregate_item
+    real_draw, real_aggregate = federation.draw_round_pairs, federation.aggregate_round
 
     def spy_draw(participants, items, rng):
         draws.append(([copy.deepcopy(p) for p in participants], *real_draw(participants, items, rng)))
         return draws[-1][1:]
 
-    def spy_aggregate(spec, item, rows, warnings):
-        blocks.append(rows.copy())
-        return real_aggregate(spec, item, rows, warnings)
+    def spy_aggregate(spec, items, vecs, bank):
+        blocks.append(vecs.copy())
+        return real_aggregate(spec, items, vecs, bank)
 
     monkeypatch.setattr(federation, "draw_round_pairs", spy_draw)
-    monkeypatch.setattr(federation, "aggregate_item", spy_aggregate)
+    monkeypatch.setattr(federation, "aggregate_round", spy_aggregate)
     for round_index in (1, 2, 3):
         emb.round = round_index
         runtime.observe_broadcast(emb)
