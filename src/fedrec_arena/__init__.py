@@ -1,23 +1,14 @@
 """Deterministic federated recommender simulator with fake-user promotion attacks."""
 
 from .aggregation import (
-    AggregationError,
     AggregatorSpec,
-    agg_clip,
-    agg_fedavg,
-    agg_hics,
-    agg_krum,
-    agg_median,
-    agg_trimmed_mean,
     aggregate_round,
+    aggregate_rows,
 )
 from .attack import (
     AttackConfig,
     AttackRuntime,
-    PoisonState,
-    build_poison_state,
     build_target,
-    craft_poisonfrs_update,
     estimate_popular,
     make_baseline_fakes,
     select_fillers,

@@ -4,24 +4,20 @@
 each bucket into a (k, n, d) block and runs the rule once over it along
 axis 1. A rule's preconditions depend only on n, so a bucket that fails them
 falls back to the median as a whole. HiCS carries a bank between rounds, an
-(items, d) array the caller owns. The ``agg_*`` functions aggregate one
-item's rows, as a list of d-vectors or an (n, d) array, through the same code.
+(items, d) array the caller owns. ``aggregate_rows`` runs one item's rows
+through ``aggregate_round``.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 log = logging.getLogger("fedrec_arena.aggregation")
 
 RULES = ("fedavg", "median", "trimmed_mean", "krum", "clip", "hics")
-
-
-class AggregationError(ValueError):
-    """Rule preconditions violated for the given inputs."""
 
 
 @dataclass
@@ -35,6 +31,13 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown aggregation rule {self.rule!r}")
+        # each of these fails the rule at every contributor count
+        if not self.clip_bound > 0:
+            raise ValueError(f"aggregator clip_bound must be > 0, got {self.clip_bound}")
+        if self.trim_beta is not None and self.trim_beta < 0:
+            raise ValueError(f"aggregator trim_beta must be >= 0, got {self.trim_beta}")
+        if self.krum_m is not None and self.krum_m < 0:
+            raise ValueError(f"aggregator krum_m must be >= 0, got {self.krum_m}")
 
 
 def _shrink(norms: np.ndarray, limit: float | np.ndarray) -> np.ndarray:
@@ -59,25 +62,23 @@ def _trim(spec: AggregatorSpec, n: int) -> int:
 def degenerate_reason(spec: AggregatorSpec, n: int, d: int) -> Optional[str]:
     """Why the spec's rule cannot aggregate n contributions of dimension d,
     or None when it can."""
-    if spec.rule == "trimmed_mean":
-        beta = _trim(spec, n)
-        if beta < 0:
-            return "beta must be >= 0"
-        if 2 * beta >= n:
-            return f"2*beta={2 * beta} must be < n={n}"
+    if spec.rule == "trimmed_mean" and 2 * (beta := _trim(spec, n)) >= n:
+        return f"2*beta={2 * beta} must be < n={n}"
     if spec.rule == "krum" and n - (spec.krum_m or 0) - 2 < 1:
         return f"krum needs n-m-2 >= 1, got n={n}, m={spec.krum_m or 0}"
-    if spec.rule == "clip" and spec.clip_bound <= 0:
-        return "clip bound must be positive"
     if spec.rule == "hics" and not 1 <= spec.hics_z <= d:
         return f"z must be in [1, {d}], got {spec.hics_z}"
     return None
 
 
 def _aggregate_block(spec: AggregatorSpec, block: np.ndarray, bank, ids) -> np.ndarray:
-    """Aggregate a (k, n, d) block of k items with n rows each into (k, d),
-    each rule as its ``agg_*`` function describes. The caller has checked
-    ``degenerate_reason``. HiCS reads and updates ``bank[ids]`` in place."""
+    """Aggregate a (k, n, d) block of k items with n rows each into (k, d).
+
+    The median is the lower one; Krum ties go to the lowest index. HiCS adds
+    the rows' sum to ``bank[ids]``, keeps the z bank coordinates of largest
+    magnitude (ties toward the lower index), clips the rows restricted to them
+    to their mean norm, averages, and drains the output times n from the bank
+    in place. The caller has checked ``degenerate_reason``."""
     k, n, d = block.shape
     if spec.rule == "fedavg":
         return block.sum(axis=1) / n
@@ -147,55 +148,14 @@ def aggregate_round(
     return touched, deltas, touched[degenerate]
 
 
-def _one_item(spec: AggregatorSpec, vectors: Sequence[np.ndarray], bank=None) -> np.ndarray:
-    """Aggregate one item's rows through the block code; raise where it would fall back."""
-    if len(vectors) == 0:
-        raise AggregationError("no vectors to aggregate")
-    block = np.asarray(vectors)[None]
-    reason = degenerate_reason(spec, *block.shape[1:])
-    if reason is not None:
-        raise AggregationError(reason)
-    return _aggregate_block(spec, block, bank, [0])[0]
-
-
-def agg_fedavg(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise arithmetic mean."""
-    return _one_item(AggregatorSpec("fedavg"), vectors)
-
-
-def agg_median(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise lower median (middle element for odd counts)."""
-    return _one_item(AggregatorSpec("median"), vectors)
-
-
-def agg_trimmed_mean(vectors: Sequence[np.ndarray], beta: int) -> np.ndarray:
-    """Drop the beta largest and beta smallest values per coordinate, then average."""
-    return _one_item(AggregatorSpec("trimmed_mean", trim_beta=beta), vectors)
-
-
-def agg_krum(vectors: Sequence[np.ndarray], m: int) -> np.ndarray:
-    """Select the vector with the smallest mean squared distance to its
-    n-m-2 nearest peers; ties go to the lowest index."""
-    return _one_item(AggregatorSpec("krum", krum_m=m), vectors)
-
-
-def agg_clip(vectors: Sequence[np.ndarray], bound: float) -> np.ndarray:
-    """Scale each vector with l2 norm above the bound down to it, then average."""
-    return _one_item(AggregatorSpec("clip", clip_bound=bound), vectors)
-
-
-def agg_hics(
-    bank_entry: np.ndarray, vectors: Sequence[np.ndarray], z: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bank-accumulating sparsified aggregation.
-
-    Adds the incoming sum to the bank, picks the z bank coordinates with
-    the largest magnitude (ties toward the lower index), restricts every
-    contribution to those coordinates, clips each restricted vector to the
-    mean restricted norm, averages, and drains the emitted mass (times the
-    contributor count) from the bank. Returns (output, updated bank);
-    ``bank_entry`` is not modified.
-    """
-    bank = np.array(bank_entry, dtype=float)[None]
-    output = _one_item(AggregatorSpec("hics", hics_z=z), vectors, bank)
-    return output, bank[0]
+def aggregate_rows(
+    spec: AggregatorSpec, rows, bank: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, bool]:
+    """Aggregate one item's (n, d) rows, given as an array or a list of
+    d-vectors, through ``aggregate_round``. ``bank`` is the item's HiCS bank
+    row, updated in place; None starts from an empty one. Returns the delta
+    and whether the item fell back to the median."""
+    rows = np.asarray(rows, dtype=float)
+    bank = np.zeros((1, rows.shape[1])) if bank is None else bank[None]
+    _, deltas, fallbacks = aggregate_round(spec, np.zeros(len(rows), np.int32), rows, bank)
+    return deltas[0], bool(fallbacks.size)

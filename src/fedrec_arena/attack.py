@@ -8,7 +8,9 @@ on every fake user uploads the delta that would land the target item exactly
 on the scaled target, plus "filler" deltas on the items that drifted furthest
 from the snapshot. A filler delta echoes the item's own drift, which keeps
 the same items winning the drift ranking round after round, so the attacker
-touches a small, stable set of items over the whole run.
+touches a small, stable set of items over the whole run. ``AttackRuntime``
+holds the snapshot and the scaled target, and builds every fake's upload for
+a round as one block of rows.
 
 The three baseline attacks instead fabricate user profiles (target item plus
 filler interactions) that run the ordinary local-training path; they are
@@ -54,17 +56,6 @@ class AttackConfig:
         return max(1, math.ceil(self.fake_fraction * num_genuine))
 
 
-@dataclass
-class PoisonState:
-    start_round: int
-    snapshot: np.ndarray  # item embeddings at the start round
-    popular_set: list[int]
-    scaled_target: np.ndarray
-    filler_count: int
-    target_item: int
-    noise_std: float = 0.0
-
-
 def estimate_popular(snapshot: np.ndarray, k: int) -> list[int]:
     """The k items whose embedding has the smallest inner product with the
     mean item embedding (ties toward the lower id), sorted by id.
@@ -103,63 +94,6 @@ def select_fillers(
     deviation = np.linalg.norm(snapshot - current, axis=1)
     order = np.argsort(-deviation, kind="stable")
     return order[order != target_item][:f].tolist()
-
-
-def build_poison_state(
-    embeddings: ItemEmbeddings, config: AttackConfig, target_item: int
-) -> PoisonState:
-    """Snapshot the broadcast at the attack's start round and fix the target."""
-    snapshot = embeddings.matrix.copy()
-    popular = estimate_popular(snapshot, config.popular_count)
-    _, scaled = build_target(snapshot, popular, config.scale)
-    return PoisonState(
-        start_round=embeddings.round,
-        snapshot=snapshot,
-        popular_set=popular,
-        scaled_target=scaled,
-        filler_count=config.filler_count,
-        target_item=target_item,
-        noise_std=config.noise_std,
-    )
-
-
-def craft_poisonfrs_update(
-    state: PoisonState, current: ItemEmbeddings, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fake user's upload for the current round, as (items, deltas).
-
-    Target delta: scaled_target - current target embedding (lands the item
-    on the target under plain averaging of fakes alone). Filler delta for a
-    drifted item: current - snapshot, re-asserting the drift that got the
-    item selected, which stabilizes the filler set across rounds and keeps
-    the fake's total item footprint small. Rows are the target, then the
-    fillers by drift. Exact-zero deltas are dropped; Gaussian noise of
-    noise_std is then added independently per entry coordinate when
-    configured.
-    """
-    return _add_noise(state, *_poisonfrs_upload(state, current), rng)
-
-
-def _poisonfrs_upload(state: PoisonState, current: ItemEmbeddings) -> tuple[np.ndarray, np.ndarray]:
-    """The noise-free upload every fake shares in a round."""
-    if current.round < state.start_round:
-        raise ValueError("attack not active before its start round")
-    fillers = select_fillers(
-        state.snapshot, current.matrix, state.filler_count, state.target_item
-    )
-    items = np.array([state.target_item, *fillers], dtype=np.int64)
-    deltas = np.vstack((
-        state.scaled_target - current.matrix[state.target_item],
-        current.matrix[items[1:]] - state.snapshot[items[1:]],
-    ))
-    kept = np.any(deltas != 0.0, axis=1)
-    return items[kept], deltas[kept]
-
-
-def _add_noise(state: PoisonState, items, deltas, rng) -> tuple[np.ndarray, np.ndarray]:
-    if state.noise_std > 0:
-        deltas = deltas + rng.normal(0.0, state.noise_std, size=deltas.shape)
-    return items, deltas
 
 
 def _popularity_order(dataset: InteractionDataset) -> list[int]:
@@ -223,8 +157,8 @@ class AttackRuntime:
     """Round-by-round driver for whichever attack the experiment runs.
 
     Baseline fakes exist as profiles that join local training from the start
-    round on; the crafted attack builds its state from the round-s broadcast
-    and emits one update per fake per round from then on.
+    round on; the crafted attack snapshots the round-s broadcast and emits one
+    upload per fake per round from then on.
     """
 
     def __init__(self, config: AttackConfig, num_genuine: int, target_item: int):
@@ -233,7 +167,8 @@ class AttackRuntime:
         self.target_item = target_item
         self.num_fakes = config.num_fakes(num_genuine)
         self.fake_ids = list(range(num_genuine, num_genuine + self.num_fakes))
-        self.state: Optional[PoisonState] = None
+        self.snapshot: Optional[np.ndarray] = None  # item embeddings at the start round
+        self.scaled_target: Optional[np.ndarray] = None
         self.baseline_profiles: list[UserProfile] = []
 
     def active(self, round_index: int) -> bool:
@@ -253,24 +188,46 @@ class AttackRuntime:
             )
 
     def observe_broadcast(self, embeddings: ItemEmbeddings) -> None:
-        """Snapshot the model when the start round's broadcast arrives."""
+        """Snapshot the model and fix the target when the start round's broadcast arrives."""
         if (
             self.config.kind == "poisonfrs"
             and self.num_fakes > 0
-            and self.state is None
+            and self.snapshot is None
             and embeddings.round >= self.config.start_round
         ):
-            self.state = build_poison_state(embeddings, self.config, self.target_item)
+            self.snapshot = embeddings.matrix.copy()
+            popular = estimate_popular(self.snapshot, self.config.popular_count)
+            _, self.scaled_target = build_target(self.snapshot, popular, self.config.scale)
 
     def crafted_updates(
         self, embeddings: ItemEmbeddings, noise_rngs: Sequence[np.random.Generator]
-    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """One (fake id, items, deltas) upload per fake this round."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every fake's upload this round as one block (int32 fake ids, items, deltas).
+
+        Target delta: scaled_target - current target embedding (lands the
+        item on the target under plain averaging of fakes alone). Filler delta
+        for a drifted item: current - snapshot, re-asserting the drift that
+        got the item selected. Exact-zero deltas are dropped. The rows run
+        fake by fake, each the target then the fillers by drift; with
+        noise_std > 0 each fake adds Gaussian noise drawn from its own rng.
+        """
         if self.config.kind != "poisonfrs" or not self.active(embeddings.round):
-            return []
-        assert self.state is not None
-        upload = _poisonfrs_upload(self.state, embeddings)  # the same for every fake
-        return [
-            (fake_id, *_add_noise(self.state, *upload, rng))
-            for fake_id, rng in zip(self.fake_ids, noise_rngs)
-        ]
+            return np.empty(0, np.int32), np.empty(0, np.int64), np.empty((0, embeddings.dim))
+        assert self.snapshot is not None
+        current = embeddings.matrix
+        fillers = select_fillers(self.snapshot, current, self.config.filler_count, self.target_item)
+        items = np.array([self.target_item, *fillers], dtype=np.int64)
+        deltas = np.vstack((
+            self.scaled_target - current[self.target_item],
+            current[items[1:]] - self.snapshot[items[1:]],
+        ))
+        kept = np.any(deltas != 0.0, axis=1)
+        items, deltas = items[kept], deltas[kept]  # the same for every fake
+        fake_ids = np.repeat(np.array(self.fake_ids, dtype=np.int32), items.size)
+        deltas = np.tile(deltas, (self.num_fakes, 1))
+        if self.config.noise_std > 0:
+            deltas += np.concatenate([
+                rng.normal(0.0, self.config.noise_std, size=(items.size, embeddings.dim))
+                for rng in noise_rngs
+            ])
+        return fake_ids, np.tile(items, self.num_fakes), deltas

@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .aggregation import RULES, AggregatorSpec, aggregate_round, degenerate_reason
+from .aggregation import RULES, AggregatorSpec, aggregate_rows, degenerate_reason
 from .attack import ATTACK_KINDS, AttackConfig
 from .data import generate_synthetic, dump_dataset
 from .federation import (
@@ -251,8 +251,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        if args.users < 1 or args.items < 1:
-            raise ValueError("users and items must be >= 1")
         dataset = generate_synthetic(
             args.users,
             args.items,
@@ -292,20 +290,22 @@ def cmd_aggcheck(args: argparse.Namespace) -> int:
     if len({r.shape for r in rows}) != 1:
         print("error: ragged rows: vectors have differing lengths", file=sys.stderr)
         return 2
-    spec = AggregatorSpec(
-        rule=args.rule,
-        trim_beta=args.beta,
-        krum_m=args.m,
-        clip_bound=args.bound,
-        hics_z=min(args.z, rows[0].size),
-    )
-    vecs = np.stack(rows)
-    bank = np.zeros_like(vecs[:1])  # the one item's HiCS bank row
-    _, out, fallbacks = aggregate_round(spec, np.zeros(len(vecs), np.int32), vecs, bank)
-    if fallbacks.size:
-        reason = degenerate_reason(spec, *vecs.shape)
+    try:
+        spec = AggregatorSpec(
+            rule=args.rule,
+            trim_beta=args.beta,
+            krum_m=args.m,
+            clip_bound=args.bound,
+            hics_z=min(args.z, rows[0].size),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out, fell_back = aggregate_rows(spec, rows)
+    if fell_back:
+        reason = degenerate_reason(spec, len(rows), rows[0].size)
         log.warning(f"item 0: {spec.rule} degenerate ({reason}); falling back to median")
-    print(",".join(f"{x:.9g}" for x in out[0]))
+    print(",".join(f"{x:.9g}" for x in out))
     return 0
 
 

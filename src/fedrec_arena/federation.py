@@ -272,18 +272,16 @@ def run_round(
     for profile, row in zip(participants, stepped):
         profile.user_embedding = row
     noise_rngs = [streams.fake_noise(round_index, fake_id) for fake_id in attack.fake_ids]
-    crafted = attack.crafted_updates(embeddings, noise_rngs)
+    fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, noise_rngs)
 
     # Row k of the table is scale[k] * sources[who[k]]: the old participant
     # embeddings, then the crafted rows at scale 1. Crafted fake ids exceed
     # every participant id and training emits (item, user) order, so one
     # stable sort by item orders the whole table by (item, contributor).
-    sources = np.concatenate([user_rows] + [deltas for _, _, deltas in crafted])
-    source_ids = np.array(
-        [p.user_id for p in participants] + [f for f, fake_items, _ in crafted for _ in fake_items],
-        dtype=np.int32,  # int32 ids halve the index every ledger keeps
-    )
-    items = np.concatenate([items] + [fake_items for _, fake_items, _ in crafted])
+    sources = np.concatenate((user_rows, fake_deltas))
+    participant_ids = np.array([p.user_id for p in participants], dtype=np.int32)
+    source_ids = np.concatenate((participant_ids, fake_ids))  # int32 halves every ledger's index
+    items = np.concatenate((items, fake_items))
     who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
     scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
     order = np.argsort(items, kind="stable")
@@ -347,7 +345,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     labels.update({f: "fake" for f in attack.fake_ids})
 
     for round_index in range(1, config.rounds + 1):
-        embeddings.round = round_index
         attack.observe_broadcast(embeddings)
         capture = config.dump_round == round_index
         embeddings, ledger = run_round(

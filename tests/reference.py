@@ -12,12 +12,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fedrec_arena.aggregation import AggregationError, AggregatorSpec
+from fedrec_arena.aggregation import AggregatorSpec
 from fedrec_arena.model import ItemEmbeddings, UserProfile, _sigmoid
 
 
 class DegenerateUserError(ValueError):
     """User has no valid negative item to sample; skip them for the round."""
+
+
+class AggregationError(ValueError):
+    """Rule preconditions violated for the given inputs."""
 
 
 def predict_score(user_embedding: np.ndarray, item_embedding: np.ndarray) -> float:

@@ -21,15 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedrec_arena.aggregation import (
-    AggregatorSpec,
-    agg_clip,
-    agg_fedavg,
-    agg_hics,
-    agg_krum,
-    agg_median,
-    agg_trimmed_mean,
-)
+from fedrec_arena.aggregation import AggregatorSpec, aggregate_rows
 from fedrec_arena.attack import AttackConfig, AttackRuntime
 from fedrec_arena.cli import main as cli_main
 from fedrec_arena.federation import (
@@ -338,30 +330,34 @@ def test_criterion_5_aggregator_oracle_suite():
     rng = np.random.default_rng(1234)
     started = time.perf_counter()
     cases = 0
+    fedavg, median = AggregatorSpec(rule="fedavg"), AggregatorSpec(rule="median")
     for _ in range(1000):
         n = int(rng.integers(1, 10))
         d = int(rng.integers(1, 5))
         vectors = [rng.normal(0, rng.uniform(0.1, 5.0), size=d) for _ in range(n)]
-        assert np.array_equal(agg_median(vectors), _median_oracle(vectors))
+        assert np.array_equal(aggregate_rows(median, vectors)[0], _median_oracle(vectors))
         beta = int(rng.integers(0, 5))
         if 2 * beta < n:
-            assert agg_trimmed_mean(vectors, beta) == pytest.approx(
-                _trimmed_oracle(vectors, beta), rel=1e-12, abs=1e-12
-            )
+            trimmed, _ = aggregate_rows(AggregatorSpec(rule="trimmed_mean", trim_beta=beta), vectors)
+            assert trimmed == pytest.approx(_trimmed_oracle(vectors, beta), rel=1e-12, abs=1e-12)
         m = int(rng.integers(0, 4))
         if n - m - 2 >= 1:
             expected = vectors[_krum_oracle_index(vectors, m)]
-            assert np.array_equal(agg_krum(vectors, m), expected)
+            krum, _ = aggregate_rows(AggregatorSpec(rule="krum", krum_m=m), vectors)
+            assert np.array_equal(krum, expected)
         clipped_parts = [
             v * min(1.0, 3.0 / np.linalg.norm(v)) if np.linalg.norm(v) > 0 else v
             for v in vectors
         ]
         for part in clipped_parts:
             assert np.linalg.norm(part) <= 3.0 + 1e-9
-        assert agg_clip(vectors, 3.0) == pytest.approx(agg_fedavg(clipped_parts), rel=1e-12, abs=1e-12)
-        assert np.max(np.abs(agg_trimmed_mean(vectors, 0) - agg_fedavg(vectors))) <= 1e-12
+        clipped, _ = aggregate_rows(AggregatorSpec(rule="clip", clip_bound=3.0), vectors)
+        expected, _ = aggregate_rows(fedavg, clipped_parts)
+        assert clipped == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        untrimmed, _ = aggregate_rows(AggregatorSpec(rule="trimmed_mean", trim_beta=0), vectors)
+        assert np.max(np.abs(untrimmed - aggregate_rows(fedavg, vectors)[0])) <= 1e-12
         z = int(rng.integers(1, d + 1))
-        out, _ = agg_hics(rng.normal(size=d), vectors, z)
+        out, _ = aggregate_rows(AggregatorSpec(rule="hics", hics_z=z), vectors, rng.normal(size=d))
         assert np.count_nonzero(out) <= z
         cases += 1
     elapsed = time.perf_counter() - started
@@ -416,7 +412,7 @@ def test_criterion_7_exact_capture():
     after, ledger = run_round(
         emb, [], runtime, AggregatorSpec(rule="fedavg"), SeedStreams(0)
     )
-    err = np.max(np.abs(after.matrix[4] - runtime.state.scaled_target))
+    err = np.max(np.abs(after.matrix[4] - runtime.scaled_target))
     contributors = int(np.count_nonzero(ledger.items == 4))
     report(
         7,

@@ -4,21 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedrec_arena.aggregation import (
-    AggregationError,
-    AggregatorSpec,
-    agg_clip,
-    agg_fedavg,
-    agg_hics,
-    agg_krum,
-    agg_median,
-    agg_trimmed_mean,
-    aggregate_round,
-)
+from fedrec_arena.aggregation import AggregatorSpec, aggregate_round, aggregate_rows
 
 import reference
 
 V = lambda *xs: [np.asarray(x, dtype=float) for x in xs]
+FEDAVG = AggregatorSpec(rule="fedavg")
+MEDIAN = AggregatorSpec(rule="median")
 
 
 # ------------------------------------------------------------- oracles
@@ -55,86 +47,93 @@ def krum_index_oracle(vectors, m):
 # ------------------------------------------------------------- fedavg
 
 def test_fedavg_mean():
-    assert agg_fedavg(V([1, 1], [3, 3])) == pytest.approx([2, 2])
+    out, fell_back = aggregate_rows(FEDAVG, V([1, 1], [3, 3]))
+    assert not fell_back and out == pytest.approx([2, 2])
 
 
 def test_fedavg_single_vector_identity():
     v = np.array([0.3, -0.7])
-    assert np.array_equal(agg_fedavg([v]), v)
+    out, fell_back = aggregate_rows(FEDAVG, [v])
+    assert not fell_back and np.array_equal(out, v)
 
 
 def test_fedavg_symmetry():
-    assert agg_fedavg(V([1], [-1])) == pytest.approx([0])
-
-
-def test_fedavg_empty_raises():
-    with pytest.raises(AggregationError):
-        agg_fedavg([])
+    assert aggregate_rows(FEDAVG, V([1], [-1]))[0] == pytest.approx([0])
 
 
 # ------------------------------------------------------------- median
 
 def test_median_odd_count_middle():
-    assert agg_median(V([1], [2], [100])) == pytest.approx([2])
+    assert aggregate_rows(MEDIAN, V([1], [2], [100]))[0] == pytest.approx([2])
 
 
 def test_median_even_count_lower_median():
-    assert agg_median(V([1], [2], [3], [100])) == pytest.approx([2])
+    assert aggregate_rows(MEDIAN, V([1], [2], [3], [100]))[0] == pytest.approx([2])
 
 
 def test_median_permutation_invariant():
     rng = np.random.default_rng(0)
     vectors = [rng.normal(size=3) for _ in range(6)]
-    base = agg_median(vectors)
+    base, _ = aggregate_rows(MEDIAN, vectors)
     for _ in range(5):
         perm = rng.permutation(6)
-        assert np.array_equal(agg_median([vectors[i] for i in perm]), base)
+        assert np.array_equal(aggregate_rows(MEDIAN, [vectors[i] for i in perm])[0], base)
 
 
 # ------------------------------------------------------------- trimmed mean
 
 def test_trimmed_mean_drops_extremes():
-    assert agg_trimmed_mean(V([1], [2], [3], [100]), beta=1) == pytest.approx([2.5])
+    spec = AggregatorSpec(rule="trimmed_mean", trim_beta=1)
+    out, fell_back = aggregate_rows(spec, V([1], [2], [3], [100]))
+    assert not fell_back and out == pytest.approx([2.5])
 
 
 def test_trimmed_mean_beta_zero_equals_fedavg():
     rng = np.random.default_rng(1)
     vectors = [rng.normal(size=4) for _ in range(5)]
-    assert np.array_equal(agg_trimmed_mean(vectors, 0), agg_fedavg(vectors))
+    out, fell_back = aggregate_rows(AggregatorSpec(rule="trimmed_mean", trim_beta=0), vectors)
+    assert not fell_back and np.array_equal(out, aggregate_rows(FEDAVG, vectors)[0])
 
 
 def test_trimmed_mean_constant_inputs():
-    assert agg_trimmed_mean(V([5], [5], [5]), beta=1) == pytest.approx([5])
+    spec = AggregatorSpec(rule="trimmed_mean", trim_beta=1)
+    out, fell_back = aggregate_rows(spec, V([5], [5], [5]))
+    assert not fell_back and out == pytest.approx([5])
 
 
 def test_trimmed_mean_rejects_overtrim():
-    with pytest.raises(AggregationError):
-        agg_trimmed_mean(V([1], [2], [3], [4]), beta=2)
+    spec = AggregatorSpec(rule="trimmed_mean", trim_beta=2)
+    out, fell_back = aggregate_rows(spec, V([1], [2], [3], [4]))
+    assert fell_back and out == pytest.approx([2])  # the median instead
 
 
 # ------------------------------------------------------------- krum
 
+def krum(m):
+    return AggregatorSpec(rule="krum", krum_m=m)
+
+
 def test_krum_spec_example_selects_zero():
     # scores with one neighbor: 0.01, 0.01, 98.01 -> tie broken to index 0
-    out = agg_krum(V([0.0], [0.1], [10.0]), m=0)
-    assert out == pytest.approx([0.0])
+    out, fell_back = aggregate_rows(krum(0), V([0.0], [0.1], [10.0]))
+    assert not fell_back and out == pytest.approx([0.0])
 
 
 def test_krum_identical_vectors_returns_first():
-    out = agg_krum(V([2, 2], [2, 2], [2, 2]), m=0)
-    assert out == pytest.approx([2, 2])
+    out, fell_back = aggregate_rows(krum(0), V([2, 2], [2, 2], [2, 2]))
+    assert not fell_back and out == pytest.approx([2, 2])
 
 
 def test_krum_output_is_an_input():
     rng = np.random.default_rng(2)
     vectors = [rng.normal(size=3) for _ in range(7)]
-    out = agg_krum(vectors, m=2)
-    assert any(np.array_equal(out, v) for v in vectors)
+    out, fell_back = aggregate_rows(krum(2), vectors)
+    assert not fell_back and any(np.array_equal(out, v) for v in vectors)
 
 
 def test_krum_precondition():
-    with pytest.raises(AggregationError):
-        agg_krum(V([1], [2], [3]), m=1)  # n - m - 2 = 0
+    out, fell_back = aggregate_rows(krum(1), V([1], [2], [3]))  # n - m - 2 = 0
+    assert fell_back and out == pytest.approx([2])  # the median instead
 
 
 def test_krum_matches_exhaustive_oracle():
@@ -147,23 +146,28 @@ def test_krum_matches_exhaustive_oracle():
             continue
         vectors = [rng.normal(size=d) for _ in range(n)]
         expected = vectors[krum_index_oracle(vectors, m)]
-        assert np.array_equal(agg_krum(vectors, m), expected)
+        out, fell_back = aggregate_rows(krum(m), vectors)
+        assert not fell_back and np.array_equal(out, expected)
 
 
 # ------------------------------------------------------------- clip
 
+def clip(bound):
+    return AggregatorSpec(rule="clip", clip_bound=bound)
+
+
 def test_clip_scales_down_to_bound():
-    assert agg_clip(V([6, 0]), bound=3) == pytest.approx([3, 0])
+    assert aggregate_rows(clip(3), V([6, 0]))[0] == pytest.approx([3, 0])
 
 
 def test_clip_noop_within_bound_equals_fedavg():
     rng = np.random.default_rng(4)
     vectors = [0.1 * rng.normal(size=3) for _ in range(5)]
-    assert np.array_equal(agg_clip(vectors, 3.0), agg_fedavg(vectors))
+    assert np.array_equal(aggregate_rows(clip(3.0), vectors)[0], aggregate_rows(FEDAVG, vectors)[0])
 
 
 def test_clip_zero_vector_untouched():
-    assert agg_clip(V([0, 0]), bound=3) == pytest.approx([0, 0])
+    assert aggregate_rows(clip(3), V([0, 0]))[0] == pytest.approx([0, 0])
 
 
 def test_clip_norm_bound_property():
@@ -171,15 +175,20 @@ def test_clip_norm_bound_property():
     bound = 3.0
     for _ in range(50):
         v = rng.normal(size=4) * rng.uniform(0, 10)
-        clipped = agg_clip([v], bound)
+        clipped, _ = aggregate_rows(clip(bound), [v])
         assert np.linalg.norm(clipped) <= bound + 1e-9
 
 
 # ------------------------------------------------------------- hics
 
+def hics(z):
+    return AggregatorSpec(rule="hics", hics_z=z)
+
+
 def test_hics_single_contributor_fixed_point():
-    out, bank = agg_hics(np.zeros(2), V([1.5, -0.5]), z=2)
-    assert out == pytest.approx([1.5, -0.5])
+    bank = np.zeros(2)
+    out, fell_back = aggregate_rows(hics(2), V([1.5, -0.5]), bank)
+    assert not fell_back and out == pytest.approx([1.5, -0.5])
     assert bank == pytest.approx([0.0, 0.0])
 
 
@@ -188,17 +197,18 @@ def test_hics_two_round_bank_persistence():
     # round 1: bank (1,.5,0) -> coord 0 selected, emit (1,0,0), bank (0,.5,0)
     # round 2: bank (1,1,0) -> |1|=|1| tie -> coord 0, emit (1,0,0), bank (0,1,0)
     v = [np.array([1.0, 0.5, 0.0])]
-    out1, bank = agg_hics(np.zeros(3), v, z=1)
+    bank = np.zeros(3)
+    out1, _ = aggregate_rows(hics(1), v, bank)
     assert out1 == pytest.approx([1, 0, 0])
     assert bank == pytest.approx([0, 0.5, 0])
-    out2, bank = agg_hics(bank, v, z=1)
+    out2, _ = aggregate_rows(hics(1), v, bank)
     assert out2 == pytest.approx([1, 0, 0])
     assert bank == pytest.approx([0, 1.0, 0])
 
 
 def test_hics_identical_contributors_sparsity():
     v = np.array([0.3, -0.9, 0.5, 0.1])
-    out, _ = agg_hics(np.zeros(4), [v, v, v], z=2)
+    out, _ = aggregate_rows(hics(2), [v, v, v])
     assert np.count_nonzero(out) == 2
     assert out[1] == pytest.approx(-0.9)
     assert out[2] == pytest.approx(0.5)
@@ -209,14 +219,14 @@ def test_hics_output_never_exceeds_z_nonzeros():
     bank = np.zeros(5)
     for _ in range(20):
         vectors = [rng.normal(size=5) for _ in range(int(rng.integers(1, 6)))]
-        out, bank = agg_hics(bank, vectors, z=3)
+        out, _ = aggregate_rows(hics(3), vectors, bank)
         assert np.count_nonzero(out) <= 3
 
 
 def test_hics_clips_outlier_to_mean_norm():
     small = np.array([1.0, 0.0])
     huge = np.array([1000.0, 0.0])
-    out, _ = agg_hics(np.zeros(2), [small, small, huge], z=2)
+    out, _ = aggregate_rows(hics(2), [small, small, huge])
     # mean norm = (1 + 1 + 1000) / 3 = 334; huge clipped to 334
     assert out == pytest.approx([(1 + 1 + 334) / 3, 0.0])
 
@@ -226,36 +236,29 @@ def test_hics_zero_row_beside_huge_row_does_not_overflow():
     # leaves alone: here mean_norm / 1e-300 would overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, _ = agg_hics(np.zeros(4), [np.zeros(4), np.array([4.4e9, 0.0, 0.0, 0.0])], z=2)
+        out, _ = aggregate_rows(hics(2), [np.zeros(4), np.array([4.4e9, 0.0, 0.0, 0.0])])
     assert out == pytest.approx([1.1e9, 0.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- dispatch
 
-def one_item(spec, rows, item=0):
-    """aggregate_round on a table whose rows all belong to ``item``."""
-    rows = np.asarray(rows, dtype=float)
-    bank = np.zeros((item + 1, rows.shape[1]))
-    touched, deltas, fallbacks = aggregate_round(spec, np.full(len(rows), item, np.int32), rows, bank)
-    assert touched.tolist() == [item]
-    return deltas[0], fallbacks
-
-
 def test_aggregate_round_median_single_contribution():
-    out, _ = one_item(AggregatorSpec(rule="median"), [[7.0, -1.0]])
+    out, _ = aggregate_rows(MEDIAN, [[7.0, -1.0]])
     assert out == pytest.approx([7.0, -1.0])
 
 
 def test_aggregate_round_degenerate_falls_back_to_median():
     spec = AggregatorSpec(rule="trimmed_mean", trim_beta=2)
-    out, fallbacks = one_item(spec, [[1.0], [2.0], [100.0]], item=9)
-    assert out == pytest.approx([2.0])
+    items = np.full(3, 9, np.int32)
+    touched, deltas, fallbacks = aggregate_round(spec, items, np.array([[1.0], [2.0], [100.0]]), None)
+    assert touched.tolist() == [9]
+    assert deltas[0] == pytest.approx([2.0])
     assert fallbacks.tolist() == [9]
 
 
 def test_aggregate_round_trim_beta_defaults_to_tenth():
     spec = AggregatorSpec(rule="trimmed_mean")  # beta = max(1, n // 10)
-    out, _ = one_item(spec, [[float(i)] for i in range(4)] + [[1000.0]])
+    out, _ = aggregate_rows(spec, [[float(i)] for i in range(4)] + [[1000.0]])
     assert out == pytest.approx([(1 + 2 + 3) / 3])
 
 
@@ -272,10 +275,10 @@ def test_median_and_trimmed_match_oracles_randomized():
         n = int(rng.integers(1, 10))
         d = int(rng.integers(1, 5))
         vectors = [rng.normal(size=d) for _ in range(n)]
-        assert np.array_equal(agg_median(vectors), median_oracle(vectors))
+        assert np.array_equal(aggregate_rows(MEDIAN, vectors)[0], median_oracle(vectors))
         beta = int(rng.integers(0, (n - 1) // 2 + 1)) if n > 1 else 0
         if 2 * beta < n:
-            got = agg_trimmed_mean(vectors, beta)
+            got, _ = aggregate_rows(AggregatorSpec(rule="trimmed_mean", trim_beta=beta), vectors)
             assert got == pytest.approx(trimmed_oracle(vectors, beta), rel=1e-12, abs=1e-12)
 
 
@@ -284,20 +287,24 @@ def test_rules_permutation_invariance():
     vectors = [rng.normal(size=3) for _ in range(7)]
     perm = rng.permutation(7)
     shuffled = [vectors[i] for i in perm]
-    assert np.array_equal(agg_fedavg(vectors), np.stack(vectors).sum(0) / 7)
-    assert agg_fedavg(shuffled) == pytest.approx(agg_fedavg(vectors), rel=1e-12)
-    assert np.array_equal(agg_median(shuffled), agg_median(vectors))
-    assert agg_trimmed_mean(shuffled, 2) == pytest.approx(agg_trimmed_mean(vectors, 2), rel=1e-12)
-    assert np.array_equal(agg_krum(shuffled, 1), agg_krum(vectors, 1))
+    fedavg, _ = aggregate_rows(FEDAVG, vectors)
+    assert np.array_equal(fedavg, np.stack(vectors).sum(0) / 7)
+    assert aggregate_rows(FEDAVG, shuffled)[0] == pytest.approx(fedavg, rel=1e-12)
+    assert np.array_equal(aggregate_rows(MEDIAN, shuffled)[0], aggregate_rows(MEDIAN, vectors)[0])
+    trimmed = AggregatorSpec(rule="trimmed_mean", trim_beta=2)
+    expected, _ = aggregate_rows(trimmed, vectors)
+    assert aggregate_rows(trimmed, shuffled)[0] == pytest.approx(expected, rel=1e-12)
+    assert np.array_equal(aggregate_rows(krum(1), shuffled)[0], aggregate_rows(krum(1), vectors)[0])
 
 
 def test_robustness_sanity_one_huge_outlier():
     rng = np.random.default_rng(9)
     vectors = [1e-3 * rng.normal(size=3) for _ in range(4)]
     vectors.append(np.full(3, 1e6))
-    assert np.linalg.norm(agg_median(vectors)) < 1
-    assert np.linalg.norm(agg_trimmed_mean(vectors, 1)) < 1
-    assert np.linalg.norm(agg_fedavg(vectors)) > 1
+    assert np.linalg.norm(aggregate_rows(MEDIAN, vectors)[0]) < 1
+    trimmed = AggregatorSpec(rule="trimmed_mean", trim_beta=1)
+    assert np.linalg.norm(aggregate_rows(trimmed, vectors)[0]) < 1
+    assert np.linalg.norm(aggregate_rows(FEDAVG, vectors)[0]) > 1
 
 
 # ------------------------------------------------------------- batched round vs per-item reference
@@ -379,7 +386,7 @@ def test_round_with_exact_ties_matches_reference(spec):
     spec = replace(spec, krum_m=0, trim_beta=1)
     check_rounds_against_reference(spec, [blocks], 5, 24)
     if spec.rule == "krum":
-        out, _ = one_item(spec, blocks[0])
+        out, _ = aggregate_rows(spec, blocks[0])
         assert out.tolist() == [1.0, 1.0] * 12  # lowest index among the tied rows
 
 

@@ -3,13 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
-from fedrec_arena.aggregation import agg_fedavg
+from fedrec_arena.aggregation import AggregatorSpec, aggregate_rows
 from fedrec_arena.attack import (
     AttackConfig,
     AttackRuntime,
-    build_poison_state,
     build_target,
-    craft_poisonfrs_update,
     estimate_popular,
     make_baseline_fakes,
     select_fillers,
@@ -18,9 +16,9 @@ from fedrec_arena.data import InteractionDataset, leave_one_out_split
 from fedrec_arena.federation import (
     DatasetConfig,
     ExperimentConfig,
+    SeedStreams,
     run_experiment,
 )
-from fedrec_arena.aggregation import AggregatorSpec
 from fedrec_arena.model import ItemEmbeddings
 
 
@@ -108,82 +106,98 @@ def test_select_fillers_excludes_target():
 
 # ------------------------------------------------------------- crafting
 
-def make_state(matrix, target=0, scale=10.0, k=2, f=2, noise=0.0, start=1):
-    emb = ItemEmbeddings(round=start, matrix=matrix.copy())
+def make_runtime(matrix, target=0, scale=10.0, k=2, f=2, noise=0.0, start=1, fakes=1):
+    """A crafted-attack runtime with ``fakes`` fakes that saw ``matrix`` broadcast at ``start``."""
     config = AttackConfig(
-        kind="poisonfrs", fake_fraction=0.01, start_round=start,
+        kind="poisonfrs", fake_fraction=1.0, start_round=start,
         filler_count=f, scale=scale, popular_count=k, noise_std=noise,
     )
-    return build_poison_state(emb, config, target)
+    runtime = AttackRuntime(config, num_genuine=fakes, target_item=target)
+    runtime.observe_broadcast(ItemEmbeddings(round=start, matrix=matrix.copy()))
+    return runtime
 
 
 def test_craft_average_of_fakes_lands_exactly_on_target():
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(8, 4))
-    state = make_state(matrix, target=3, f=2)
+    runtime = make_runtime(matrix, target=3, f=2, fakes=4)
     current = ItemEmbeddings(round=6, matrix=rng.normal(size=(8, 4)))
-    updates = [
-        dict(zip(*craft_poisonfrs_update(state, current, np.random.default_rng(i))))
-        for i in range(4)
-    ]
-    agg = agg_fedavg([u[3] for u in updates])
+    _, items, deltas = runtime.crafted_updates(current, [np.random.default_rng(i) for i in range(4)])
+    agg, _ = aggregate_rows(AggregatorSpec(rule="fedavg"), deltas[items == 3])
     landed = current.matrix[3] + agg
-    assert np.max(np.abs(landed - state.scaled_target)) < 1e-12
+    assert np.max(np.abs(landed - runtime.scaled_target)) < 1e-12
 
 
 def test_craft_zero_filler_entry_omitted():
     rng = np.random.default_rng(6)
     matrix = rng.normal(size=(6, 3))
-    state = make_state(matrix, target=0, f=1)
+    runtime = make_runtime(matrix, target=0, f=2)
     current = ItemEmbeddings(round=2, matrix=matrix.copy())
-    current.matrix[4] += 2.0  # only item 4 drifted; other fillers would be zero
-    update = dict(zip(*craft_poisonfrs_update(state, current, np.random.default_rng(0))))
+    current.matrix[4] += 2.0  # only item 4 drifted; the second filler's delta is zero
+    _, items, deltas = runtime.crafted_updates(current, [np.random.default_rng(0)])
+    update = dict(zip(items, deltas))
     assert set(update) == {0, 4}
-    assert update[4] == pytest.approx(current.matrix[4] - state.snapshot[4])
+    assert update[4] == pytest.approx(current.matrix[4] - runtime.snapshot[4])
 
 
 def test_craft_footprint_at_most_one_plus_f():
     rng = np.random.default_rng(7)
     matrix = rng.normal(size=(20, 4))
-    state = make_state(matrix, target=5, f=6)
+    runtime = make_runtime(matrix, target=5, f=6)
     current = ItemEmbeddings(round=9, matrix=rng.normal(size=(20, 4)))
-    update = dict(zip(*craft_poisonfrs_update(state, current, np.random.default_rng(1))))
-    assert len(update) <= 1 + 6
+    _, items, _ = runtime.crafted_updates(current, [np.random.default_rng(1)])
+    assert len(set(items.tolist())) == items.size <= 1 + 6
 
 
 def test_craft_before_start_round_rejected():
     matrix = np.zeros((3, 2))
-    state = make_state(matrix, start=5)
-    with pytest.raises(ValueError):
-        craft_poisonfrs_update(state, ItemEmbeddings(round=4, matrix=matrix), np.random.default_rng(0))
+    runtime = make_runtime(matrix, start=5)
+    fake_ids, items, deltas = runtime.crafted_updates(
+        ItemEmbeddings(round=4, matrix=matrix), [np.random.default_rng(0)]
+    )
+    assert fake_ids.size == items.size == 0 and deltas.shape == (0, 2)
 
 
 def test_craft_noise_is_mean_zero_monte_carlo():
     rng = np.random.default_rng(8)
     matrix = rng.normal(size=(5, 3))
-    state_clean = make_state(matrix, target=1, f=1, noise=0.0)
-    state_noisy = make_state(matrix, target=1, f=1, noise=1.0)
-    current = ItemEmbeddings(round=3, matrix=rng.normal(size=(5, 3)))
-    clean = dict(zip(*craft_poisonfrs_update(state_clean, current, np.random.default_rng(0))))
     draws = 10_000
-    total = {item: np.zeros(3) for item in clean}
-    seen_distinct = False
-    previous = None
-    for i in range(draws):
-        noisy = dict(zip(*craft_poisonfrs_update(state_noisy, current, np.random.default_rng(1000 + i))))
-        assert set(noisy) == set(clean)
-        for item, vec in noisy.items():
-            total[item] += vec
-        if previous is not None and any(
-            not np.array_equal(previous[item], noisy[item]) for item in noisy
-        ):
-            seen_distinct = True
-        previous = noisy
-    assert seen_distinct  # different fakes send different updates
-    for item, vec in clean.items():
-        empirical_mean = total[item] / draws
-        # std of the mean is 1/sqrt(draws); allow 3 sigma
-        assert np.max(np.abs(empirical_mean - vec)) <= 3.0 / np.sqrt(draws)
+    clean_runtime = make_runtime(matrix, target=1, f=1, noise=0.0)
+    noisy_runtime = make_runtime(matrix, target=1, f=1, noise=1.0, fakes=draws)
+    current = ItemEmbeddings(round=3, matrix=rng.normal(size=(5, 3)))
+    _, clean_items, clean = clean_runtime.crafted_updates(current, [np.random.default_rng(0)])
+    noise_rngs = [np.random.default_rng(1000 + i) for i in range(draws)]
+    _, items, deltas = noisy_runtime.crafted_updates(current, noise_rngs)
+    items = items.reshape(draws, clean_items.size)
+    noisy = deltas.reshape(draws, *clean.shape)
+    assert (items == clean_items).all()
+    # different fakes send different updates
+    assert any(not np.array_equal(noisy[i], noisy[i + 1]) for i in range(draws - 1))
+    empirical_mean = noisy.mean(axis=0)
+    # std of the mean is 1/sqrt(draws); allow 3 sigma
+    assert np.max(np.abs(empirical_mean - clean)) <= 3.0 / np.sqrt(draws)
+
+
+def test_crafted_block_runs_fake_by_fake_with_each_fakes_own_noise():
+    rng = np.random.default_rng(9)
+    matrix = rng.normal(size=(10, 3))
+    clean_runtime = make_runtime(matrix, target=2, f=3, fakes=3)
+    runtime = make_runtime(matrix, target=2, f=3, noise=0.5, fakes=3)
+    current = ItemEmbeddings(round=4, matrix=rng.normal(size=(10, 3)))
+    streams = SeedStreams(7)
+    noise_rngs = [streams.fake_noise(4, fake) for fake in runtime.fake_ids]
+    _, shared_items, shared = clean_runtime.crafted_updates(current, noise_rngs)
+    fakes, items, deltas = runtime.crafted_updates(current, noise_rngs)
+    n = 1 + 3
+    fillers = select_fillers(runtime.snapshot, current.matrix, 3, target_item=2)
+    assert fakes.dtype == np.int32
+    assert fakes.tolist() == [fake for fake in runtime.fake_ids for _ in range(n)]
+    for k, fake in enumerate(runtime.fake_ids):
+        rows = slice(k * n, (k + 1) * n)
+        assert items[rows].tolist() == [2, *fillers]  # the target, then fillers by drift
+        assert np.array_equal(shared[rows], shared[:n])
+        noise = streams.fake_noise(4, fake).normal(0.0, 0.5, size=(n, 3))
+        assert np.array_equal(deltas[rows], shared[:n] + noise)
 
 
 # ------------------------------------------------------------- baselines
@@ -247,7 +261,8 @@ def test_fake_ids_start_after_genuine():
 def test_poisonfrs_path_signature_firewall():
     """The crafted-attack code path must consume item embeddings only."""
     banned = ("dataset", "profile", "profiles", "spec", "aggregator", "train", "interactions")
-    for fn in (estimate_popular, build_target, select_fillers, craft_poisonfrs_update, build_poison_state):
+    crafting = (AttackRuntime.observe_broadcast, AttackRuntime.crafted_updates)
+    for fn in (estimate_popular, build_target, select_fillers, *crafting):
         for name in inspect.signature(fn).parameters:
             assert name not in banned, f"{fn.__name__} sees forbidden input {name!r}"
 
@@ -260,11 +275,11 @@ def test_attack_runtime_builds_state_from_broadcast_only():
     )
     emb = ItemEmbeddings(round=1, matrix=np.random.default_rng(0).normal(size=(5, 3)))
     runtime.observe_broadcast(emb)
-    assert runtime.state is None  # before the start round
+    assert runtime.snapshot is None  # before the start round
     emb.round = 2
     runtime.observe_broadcast(emb)
-    assert runtime.state is not None
-    assert np.array_equal(runtime.state.snapshot, emb.matrix)
+    assert runtime.snapshot is not None
+    assert np.array_equal(runtime.snapshot, emb.matrix)
 
 
 # ------------------------------------------------------------- end-to-end invariants

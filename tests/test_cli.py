@@ -74,6 +74,23 @@ def test_run_hics_z_above_dim_exits_2(tmp_path, capsys):
     assert "hics_z" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "aggregator, field",
+    [
+        ({"rule": "clip", "clip_bound": 0}, "clip_bound"),
+        ({"rule": "trimmed_mean", "trim_beta": -1}, "trim_beta"),
+        ({"rule": "krum", "krum_m": -2}, "krum_m"),
+    ],
+    ids=["clip_bound", "trim_beta", "krum_m"],
+)
+def test_run_aggregator_parameter_failing_every_count_exits_2(tmp_path, capsys, aggregator, field):
+    config = write_config(tmp_path, dict(MINIMAL, aggregator=aggregator))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert f"aggregator {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_items_not_above_interactions_per_user_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {"dataset": {"items": 10, "interactions_per_user": 20}})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -183,9 +200,10 @@ def test_synth_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_synth_zero_users_exits_2(tmp_path):
-    assert main(["synth", "--users", "0", "--items", "10", "--output",
+def test_synth_zero_users_exits_2(tmp_path, capsys):
+    assert main(["synth", "--users", "0", "--items", "10", "--per-user", "5", "--output",
                  str(tmp_path / "x.tsv")]) == 2
+    assert "n_users" in capsys.readouterr().err
 
 
 def test_run_on_synth_file_dataset(tmp_path):
@@ -241,3 +259,17 @@ def test_aggcheck_degenerate_rule_logs_its_median_fallback(tmp_path, capsys, cap
     assert [r.getMessage() for r in caplog.records] == [
         "item 0: krum degenerate (krum needs n-m-2 >= 1, got n=3, m=5); falling back to median"
     ]
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["clip", "--bound", "0"], "clip_bound"), (["trimmed_mean", "--beta", "-1"], "trim_beta"),
+     (["krum", "--m", "-2"], "krum_m")],
+    ids=["clip_bound", "trim_beta", "krum_m"],
+)
+def test_aggcheck_parameter_failing_every_count_exits_2(tmp_path, capsys, flags, field):
+    path = tmp_path / "vectors.txt"
+    path.write_text("1,0\n1.1,0\n50,50\n2,2\n3,3\n4,4\n")
+    assert main(["aggcheck", flags[0], str(path), *flags[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"aggregator {field}" in captured.err

@@ -89,7 +89,7 @@ def test_fakes_only_round_captures_target_exactly():
     )
     runtime.observe_broadcast(emb)
     after, _ = run_round(emb, [], runtime, AggregatorSpec(rule="fedavg"), streams)
-    assert np.max(np.abs(after.matrix[2] - runtime.state.scaled_target)) < 1e-12
+    assert np.max(np.abs(after.matrix[2] - runtime.scaled_target)) < 1e-12
 
 
 def test_untouched_items_carry_over_bit_identical():
@@ -236,9 +236,8 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
             upload = local_train(shadow, broadcast, pairs, config.learning_rate)
             expected.update(((int(i), shadow.user_id), d) for i, d in zip(*upload))
         noise = [streams.fake_noise(round_index, f) for f in runtime.fake_ids]
-        crafted = {}
-        for fake, items, deltas in runtime.crafted_updates(broadcast, noise):
-            crafted.update(((int(i), fake), d) for i, d in zip(items, deltas))
+        fakes, items, deltas = runtime.crafted_updates(broadcast, noise)
+        crafted = {(int(i), int(f)): d for f, i, d in zip(fakes, items, deltas)}
         rows = np.concatenate(blocks) if blocks else np.empty((0, config.dim))
         got = {(int(i), int(u)): r for i, u, r in zip(ledger.items, ledger.users, rows)}
         by_item_then_user = np.lexsort((ledger.users, ledger.items))
@@ -316,7 +315,7 @@ def test_single_round_snapshot_equals_initial_embeddings():
     )
     emb.round = 1
     runtime.observe_broadcast(emb)
-    assert np.array_equal(runtime.state.snapshot, initial)
+    assert np.array_equal(runtime.snapshot, initial)
 
 
 def test_default_target_is_least_interacted():
@@ -378,6 +377,22 @@ def test_validate_rejects_bad_configs():
     # attack sizes are only bounded when fakes attack; the largest that fit pass
     small_config(attack=AttackConfig(filler_count=30, popular_count=31)).validate()
     attacked(filler_count=29, popular_count=30, target_item=29).validate()
+
+
+@pytest.mark.parametrize(
+    "rule, field, value",
+    [
+        ("clip", "clip_bound", 0.0),
+        ("clip", "clip_bound", -1.0),
+        ("clip", "clip_bound", float("nan")),
+        ("trimmed_mean", "trim_beta", -1),
+        ("krum", "krum_m", -1),
+        ("krum", "krum_m", -2),
+    ],
+)
+def test_validate_rejects_aggregator_parameters_that_fail_every_count(rule, field, value):
+    with pytest.raises(ValueError, match=f"aggregator {field}"):
+        small_config(aggregator=AggregatorSpec(rule=rule, **{field: value})).validate()
 
 
 def test_metric_cadence_includes_final_round():
