@@ -41,6 +41,6 @@ from .federation import (
     run_experiment,
     run_round,
 )
-from .model import ItemEmbeddings, UserProfile
+from .model import ItemEmbeddings, UserProfile, UserTable
 
 __version__ = "0.1.0"

@@ -12,9 +12,9 @@ touches a small, stable set of items over the whole run. ``AttackRuntime``
 holds the snapshot and the scaled target, and builds every fake's upload for
 a round as one block of rows.
 
-The three baseline attacks instead fabricate user profiles (target item plus
-filler interactions) that run the ordinary local-training path; they are
-granted popularity knowledge by construction.
+The three baseline attacks instead fabricate users (target item plus filler
+interactions) that join the user table and run the ordinary local-training
+path; they are granted popularity knowledge by construction.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import InteractionDataset
-from .model import ItemEmbeddings, UserProfile
+from .model import ItemEmbeddings
 
 BASELINE_KINDS = ("random", "popular", "bandwagon")
 ATTACK_KINDS = ("none",) + BASELINE_KINDS + ("poisonfrs",)
@@ -108,27 +108,27 @@ def make_baseline_fakes(
     target_item: int,
     rng: np.random.Generator,
     dim: int,
-    start_id: Optional[int] = None,
     count: int = 1,
-) -> list[UserProfile]:
-    """Fake profiles whose interactions are the target item plus fillers.
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Fake users whose interactions are the target item plus fillers.
 
     random: fillers drawn uniformly without replacement.
     popular: the filler_count most train-interacted items.
     bandwagon: ceil(10%) most-popular items, the rest uniform random.
 
-    The profiles run the regular local-training path afterwards.
+    Returns the fakes' ``(count, dim)`` initial embeddings and each fake's
+    train items, the target first. They become the user table's last rows
+    and run the regular local-training path.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     if filler_count >= dataset.num_items:
         raise ValueError("filler_count must be smaller than the item count")
-    first_id = dataset.num_users if start_id is None else start_id
     by_popularity = [i for i in _popularity_order(dataset) if i != target_item]
     pool = np.array([i for i in range(dataset.num_items) if i != target_item])
 
-    profiles = []
-    for fake_id in range(first_id, first_id + count):
+    vectors, item_lists = [], []
+    for _ in range(count):
         if kind == "popular":
             fillers = by_popularity[:filler_count]
         elif kind == "random":
@@ -136,29 +136,22 @@ def make_baseline_fakes(
         else:  # bandwagon
             num_popular = math.ceil(BANDWAGON_POPULAR_SHARE * filler_count)
             fillers = by_popularity[:num_popular]
-            remaining = np.array([i for i in pool if i not in set(fillers)])
+            remaining = pool[~np.isin(pool, fillers)]
             extra = filler_count - num_popular
             fillers = fillers + [
                 int(i) for i in rng.choice(remaining, size=extra, replace=False)
             ]
-        items = [target_item] + fillers
-        profiles.append(
-            UserProfile(
-                user_id=fake_id,
-                user_embedding=rng.uniform(-0.05, 0.05, size=dim),
-                interacted=set(items),
-                train_items=items,
-            )
-        )
-    return profiles
+        item_lists.append([target_item] + fillers)
+        vectors.append(rng.uniform(-0.05, 0.05, size=dim))
+    return np.array(vectors).reshape(count, dim), item_lists
 
 
 class AttackRuntime:
     """Round-by-round driver for whichever attack the experiment runs.
 
-    Baseline fakes exist as profiles that join local training from the start
-    round on; the crafted attack snapshots the round-s broadcast and emits one
-    upload per fake per round from then on.
+    Baseline fakes are user-table rows that join local training from the
+    start round on; the crafted attack snapshots the round-s broadcast and
+    emits one upload per fake per round from then on.
     """
 
     def __init__(self, config: AttackConfig, num_genuine: int, target_item: int):
@@ -169,23 +162,22 @@ class AttackRuntime:
         self.fake_ids = list(range(num_genuine, num_genuine + self.num_fakes))
         self.snapshot: Optional[np.ndarray] = None  # item embeddings at the start round
         self.scaled_target: Optional[np.ndarray] = None
-        self.baseline_profiles: list[UserProfile] = []
 
     def active(self, round_index: int) -> bool:
         return self.num_fakes > 0 and round_index >= self.config.start_round
 
-    def prepare_baselines(self, dataset: InteractionDataset, dim: int, rng) -> None:
-        if self.config.kind in BASELINE_KINDS and self.num_fakes > 0:
-            self.baseline_profiles = make_baseline_fakes(
-                self.config.kind,
-                dataset,
-                self.config.filler_count,
-                self.target_item,
-                rng,
-                dim,
-                start_id=self.num_genuine,
-                count=self.num_fakes,
-            )
+    def crafting(self, round_index: int) -> bool:
+        """Whether the crafted attack uploads this round."""
+        return self.config.kind == "poisonfrs" and self.active(round_index)
+
+    def baseline_fakes(self, dataset: InteractionDataset, dim: int, rng):
+        """The baseline fakes' embeddings and train items; none for other attacks."""
+        if self.config.kind not in BASELINE_KINDS or self.num_fakes == 0:
+            return np.empty((0, dim)), []
+        config = self.config
+        return make_baseline_fakes(
+            config.kind, dataset, config.filler_count, self.target_item, rng, dim, self.num_fakes
+        )
 
     def observe_broadcast(self, embeddings: ItemEmbeddings) -> None:
         """Snapshot the model and fix the target when the start round's broadcast arrives."""
@@ -211,7 +203,7 @@ class AttackRuntime:
         fake by fake, each the target then the fillers by drift; with
         noise_std > 0 each fake adds Gaussian noise drawn from its own rng.
         """
-        if self.config.kind != "poisonfrs" or not self.active(embeddings.round):
+        if not self.crafting(embeddings.round):
             return np.empty(0, np.int32), np.empty(0, np.int64), np.empty((0, embeddings.dim))
         assert self.snapshot is not None
         current = embeddings.matrix

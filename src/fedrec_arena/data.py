@@ -2,6 +2,8 @@
 
 All ids are dense integers starting at 0. Feedback is implicit: ratings in
 input files are parsed and thrown away, only (user, item, order) survives.
+Negative sampling reads the run's ``UserTable``: its interaction mask and
+each user's train items.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ from itertools import chain
 from typing import IO, Iterable, Optional
 
 import numpy as np
+
+from .model import UserTable
 
 
 class RatingsParseError(ValueError):
@@ -44,11 +48,8 @@ class InteractionDataset:
 
     def train_counts(self) -> np.ndarray:
         """Number of train interactions per item (requires a split)."""
-        counts = np.zeros(self.num_items, dtype=np.int64)
-        for items in self.train_set.values():
-            for i in items:
-                counts[i] += 1
-        return counts
+        items = np.fromiter(chain.from_iterable(self.train_set.values()), np.int64)
+        return np.bincount(items, minlength=self.num_items)
 
 
 _DELIMITERS = ("::", "\t", ",")
@@ -124,39 +125,33 @@ def leave_one_out_split(dataset: InteractionDataset) -> InteractionDataset:
 
 
 def draw_round_pairs(
-    profiles, num_items: int, rng: np.random.Generator
+    users: UserTable, rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one uniform negative per train item of every profile, from one stream.
+    """Draw one uniform negative per train item of every user in ``rows``, from one stream.
 
-    Returns ``(owner, pos, neg)``: row r pairs the positive ``pos[r]`` with
-    the negative ``neg[r]`` for ``profiles[owner[r]]``. Rows run over the
-    profiles in the given order and each profile's train items in order, so
-    ``owner`` ascends. A negative avoids its owner's full interaction set,
-    which includes the held-out test item: every row draws once, then only
-    the rejected rows redraw, in row order, until none is left. A profile
+    Returns ``(owner, pos, neg)``: pair r pairs the positive ``pos[r]`` with
+    the negative ``neg[r]`` for user ``rows[owner[r]]``. Pairs run over
+    ``rows`` in the given order and each user's train items in order, so
+    ``owner`` ascends. A negative avoids its user's full interaction set,
+    which includes the held-out test item: every pair draws once, then only
+    the rejected pairs redraw, in pair order, until none is left. A user
     whose interactions cover every item has no candidate negative and draws
     no pairs. Deterministic for a given rng state.
     """
-    sizes = [len(p.interacted) for p in profiles]
-    forbidden = np.zeros((len(profiles), num_items), dtype=bool)
-    forbidden[
-        np.repeat(np.arange(len(profiles)), sizes),
-        np.fromiter(chain.from_iterable(p.interacted for p in profiles), np.int64, sum(sizes)),
-    ] = True
-    trainable = ~forbidden.all(axis=1)
-    counts = [len(p.train_items) if ok else 0 for p, ok in zip(profiles, trainable)]
-    owner = np.repeat(np.arange(len(profiles)), counts)
-    pos = np.fromiter(
-        chain.from_iterable(p.train_items for p, n in zip(profiles, counts) if n),
-        np.int64,
-        owner.size,
-    )
-    neg = rng.integers(0, num_items, size=owner.size)
-    pending = np.flatnonzero(forbidden[owner, neg])
+    interacted = users.interacted
+    starts = users.offsets[rows]
+    counts = np.where(interacted.all(axis=1)[rows], 0, users.offsets[rows + 1] - starts)
+    owner = np.repeat(np.arange(rows.size), counts)
+    # a pair's place among its user's train items, then its index in the flat array
+    place = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = users.train_items[starts[owner] + place]
+    user = rows[owner]
+    neg = rng.integers(0, interacted.shape[1], size=owner.size)
+    pending = np.flatnonzero(interacted[user, neg])
     while pending.size:
-        draws = rng.integers(0, num_items, size=pending.size)
+        draws = rng.integers(0, interacted.shape[1], size=pending.size)
         neg[pending] = draws
-        pending = pending[forbidden[owner[pending], draws]]
+        pending = pending[interacted[user[pending], draws]]
     return owner, pos, neg
 
 

@@ -1,18 +1,17 @@
 """Hit-ratio / NDCG metrics, update-footprint statistics, and raw update export.
 
-All computations are read-only over frozen profiles and embeddings. The
-target hit ratio counts genuine users only: fake users belong to the
+All computations are read-only over the user table and item embeddings.
+The target hit ratio counts genuine users only: fake users belong to the
 attacker, so scoring them would inflate the metric.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import ItemEmbeddings, UserProfile
+from .model import ItemEmbeddings, UserTable
 
 
 class UndefinedMetricError(ValueError):
@@ -50,34 +49,25 @@ _BLOCK_CELLS = 2**16
 
 
 def rank_metrics(
-    profiles: Sequence[UserProfile],
-    users: np.ndarray,
+    users: UserTable,
+    genuine: int,
     embeddings: ItemEmbeddings,
     target_item: int,
     ks: Sequence[int],
 ) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
     """HR@k, target HR@k and NDCG@k for every k in ``ks`` from one ranking pass.
 
-    Row r of ``users`` is the embedding of ``profiles[r]``. An item ranks
-    ahead of another when it scores higher, or the same with a lower id. The
-    held-out item ranks among the user's non-train items; at rank r it hits
-    at k when r <= k, with NDCG gain 1/log2(r + 1). The target ranks among the
+    Scores the users of rows 0..genuine-1. An item ranks ahead of another
+    when it scores higher, or the same with a lower id. The held-out item
+    ranks among the user's non-train items; at rank r it hits at k when
+    r <= k, with NDCG gain 1/log2(r + 1). The target ranks among the
     non-interacted items of each user who never interacted with it, and hits
     at k when fewer than k of them rank ahead. One count per user serves all k.
     """
-    num_users, num_items = len(profiles), embeddings.num_items
-
-    def mask(item_lists: list) -> np.ndarray:
-        out = np.zeros((num_users, num_items), dtype=bool)
-        lengths = [len(items) for items in item_lists]
-        out[np.repeat(np.arange(num_users), lengths), list(chain.from_iterable(item_lists))] = True
-        return out
-
-    train = mask([p.train_items for p in profiles])
-    interacted = mask([p.interacted for p in profiles])
-    tested = np.array([p.test_item is not None for p in profiles])
-    test_items = np.array([p.test_item or 0 for p in profiles])  # untested rows are never read
-    eligible = ~interacted[:, target_item]
+    num_items = embeddings.num_items
+    tested = users.test_items[:genuine] >= 0
+    test_items = np.maximum(users.test_items[:genuine], 0)  # untested rows are never read
+    eligible = ~users.interacted[:genuine, target_item]
     if not tested.any():
         raise UndefinedMetricError("no user has a held-out test item")
     if not eligible.any():
@@ -90,20 +80,23 @@ def rank_metrics(
         own = np.take_along_axis(scores, np.broadcast_to(item, (len(scores), 1)), axis=1)
         return (((scores > own) | ((scores == own) & (ids < item))) & ~masked).sum(axis=1)
 
-    test_ahead, target_ahead = np.zeros((2, num_users), dtype=np.int64)
+    test_ahead, target_ahead = np.zeros((2, genuine), dtype=np.int64)
     block = max(1, _BLOCK_CELLS // num_items)
-    for lo in range(0, num_users, block):
-        part = slice(lo, lo + block)
-        scores = users[part] @ embeddings.matrix.T
-        test_ahead[part] = ahead(scores, test_items[part, None], train[part])
-        target_ahead[part] = ahead(scores, target_item, interacted[part])
+    for lo in range(0, genuine, block):
+        part = slice(lo, min(lo + block, genuine))
+        scores = users.embeddings[part] @ embeddings.matrix.T
+        interacted = users.interacted[part]
+        train = interacted.copy()  # every interaction but the held-out one
+        train[np.arange(len(train)), test_items[part]] = False
+        test_ahead[part] = ahead(scores, test_items[part, None], train)
+        target_ahead[part] = ahead(scores, target_item, interacted)
 
     ranks, target_ahead = test_ahead[tested] + 1, target_ahead[eligible]
     hr_at, target_hr_at, ndcg_at = {}, {}, {}
     for k in ks:
         hr_at[k] = int((ranks <= k).sum()) / ranks.size
         target_hr_at[k] = int((target_ahead < k).sum()) / target_ahead.size
-        # summed in profile order, one scalar gain at a time
+        # summed in row order, one scalar gain at a time
         gains = [1.0 / np.log2(r + 1) if r <= k else 0.0 for r in ranks.tolist()]
         ndcg_at[k] = float(sum(gains) / len(gains))
     return hr_at, target_hr_at, ndcg_at

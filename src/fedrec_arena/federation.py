@@ -1,15 +1,16 @@
 """Round engine: broadcast, local training, aggregation, timeline.
 
-A round trains every participant at once: one draw of every negative, one
-gradient pass. Its uploads form one contribution table: parallel arrays of
-contributor ids, item ids and delta rows, sorted by (item, contributor), so
-every item's contributions are one contiguous block of rows. One call to
+A run keeps its users in one ``UserTable``. A round trains every participant
+row at once, in place: one draw of every negative, one gradient pass. Its
+uploads form one contribution table: parallel arrays of contributor ids,
+item ids and delta rows, sorted by (item, contributor), so every item's
+contributions are one contiguous block of rows. One call to
 ``aggregation.aggregate_round`` aggregates every touched item from it.
 
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
-one stream consumed in user-id order, so results are bit-identical for a
-fixed seed whatever the order of the profile list.
+one stream consumed in user-id order, each user's train items in order, so
+results are bit-identical for a fixed seed.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .data import (
     load_dataset,
     parse_ratings,
 )
-from .model import ItemEmbeddings, UserProfile, train_step
+from .model import ItemEmbeddings, UserProfile, UserTable, train_step
 
 log = logging.getLogger("fedrec_arena.federation")
 
@@ -206,24 +207,18 @@ def default_target_item(dataset: InteractionDataset) -> int:
     return int(np.lexsort((np.arange(dataset.num_items), counts))[0])
 
 
-def build_profiles(dataset: InteractionDataset, dim: int, streams: SeedStreams) -> list[UserProfile]:
-    profiles = []
-    for user in range(dataset.num_users):
-        train = dataset.train_set.get(user, [])
-        test = dataset.test_set.get(user)
-        interacted = set(train)
-        if test is not None:
-            interacted.add(test)
-        profiles.append(
-            UserProfile(
-                user_id=user,
-                user_embedding=streams.user_init(user).uniform(-INIT_SCALE, INIT_SCALE, size=dim),
-                interacted=interacted,
-                train_items=list(train),
-                test_item=test,
-            )
-        )
-    return profiles
+def build_user_table(
+    dataset: InteractionDataset, dim: int, streams: SeedStreams, fake_embeddings, fake_items
+) -> UserTable:
+    """Every user of the run: the split's genuine users, then the baseline fakes."""
+    genuine = range(dataset.num_users)
+    embeddings = [streams.user_init(u).uniform(-INIT_SCALE, INIT_SCALE, size=dim) for u in genuine]
+    return UserTable.build(
+        np.concatenate((np.reshape(embeddings, (-1, dim)), fake_embeddings)),
+        dataset.num_items,
+        [dataset.train_set.get(u, []) for u in genuine] + fake_items,
+        [dataset.test_set.get(u, -1) for u in genuine] + [-1] * len(fake_items),
+    )
 
 
 def init_embeddings(num_items: int, dim: int, streams: SeedStreams) -> ItemEmbeddings:
@@ -233,45 +228,38 @@ def init_embeddings(num_items: int, dim: int, streams: SeedStreams) -> ItemEmbed
 
 def run_round(
     embeddings: ItemEmbeddings,
-    genuine_profiles: list[UserProfile],
+    users: UserTable,
     attack: AttackRuntime,
     spec: AggregatorSpec,
     streams: SeedStreams,
-    learning_rate: float = 0.05,
-    participation: float = 1.0,
+    learning_rate: float,
+    participation: float,
+    bank: np.ndarray,
     capture_target: bool = False,
-    bank: Optional[np.ndarray] = None,
 ) -> tuple[ItemEmbeddings, RoundLedger]:
     """One global round: local training, fake uploads, aggregation.
 
-    Participants are taken in user-id order, whatever the order of
-    ``genuine_profiles``. Items nobody touched carry over bit-identically.
-    ``bank`` is the HiCS bank, one row per item, carried between rounds and
-    updated in place; None starts this round from an empty one.
+    Participants are table rows in id order: the genuine users, and the
+    baseline fakes from the attack's start round on. Items nobody touched
+    carry over bit-identically. ``bank`` is the HiCS bank, one row per item,
+    carried between rounds and updated in place.
     """
     round_index = embeddings.round
 
-    participants = list(genuine_profiles)
-    if attack.active(round_index):
-        participants.extend(attack.baseline_profiles)
-    participants.sort(key=lambda p: p.user_id)
-    if participation < 1.0 and participants:
-        keep = max(1, int(round(participation * len(participants))))
-        chosen = streams.participation(round_index).choice(
-            len(participants), size=keep, replace=False
-        )
-        participants = [participants[i] for i in sorted(chosen)]
+    count = len(users) if attack.active(round_index) else attack.num_genuine
+    rows = np.arange(count)
+    if participation < 1.0 and count:
+        keep = max(1, int(round(participation * count)))
+        rows = np.sort(streams.participation(round_index).choice(count, size=keep, replace=False))
 
-    owner, pos, neg = draw_round_pairs(
-        participants, embeddings.num_items, streams.negatives(round_index)
-    )
-    user_rows = np.array([p.user_embedding for p in participants]).reshape(-1, embeddings.dim)
+    owner, pos, neg = draw_round_pairs(users, rows, streams.negatives(round_index))
+    user_rows = users.embeddings[rows]
     items, who, scale, stepped = train_step(
         user_rows, embeddings.matrix, owner, pos, neg, learning_rate
     )
-    for profile, row in zip(participants, stepped):
-        profile.user_embedding = row
-    noise_rngs = [streams.fake_noise(round_index, fake_id) for fake_id in attack.fake_ids]
+    users.embeddings[rows] = stepped
+    noisy = attack.crafting(round_index) and attack.config.noise_std > 0  # else no rng is read
+    noise_rngs = [streams.fake_noise(round_index, fake) for fake in attack.fake_ids if noisy]
     fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, noise_rngs)
 
     # Row k of the table is scale[k] * sources[who[k]]: the old participant
@@ -279,19 +267,16 @@ def run_round(
     # every participant id and training emits (item, user) order, so one
     # stable sort by item orders the whole table by (item, contributor).
     sources = np.concatenate((user_rows, fake_deltas))
-    participant_ids = np.array([p.user_id for p in participants], dtype=np.int32)
-    source_ids = np.concatenate((participant_ids, fake_ids))  # int32 halves every ledger's index
+    source_ids = np.concatenate((rows.astype(np.int32), fake_ids))  # int32 halves each ledger
     items = np.concatenate((items, fake_items))
     who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
     scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
     order = np.argsort(items, kind="stable")
     items, who = items[order].astype(np.int32), who[order]
-    users = source_ids[who]
+    contributors = source_ids[who]
     vecs = sources[who]
     vecs *= scale[order][:, None]
 
-    if bank is None:
-        bank = np.zeros_like(embeddings.matrix)
     touched, deltas, fallbacks = aggregate_round(spec, items, vecs, bank)
     matrix = embeddings.matrix.copy()
     matrix[touched] += deltas
@@ -304,8 +289,8 @@ def run_round(
     target_contributions = None
     if capture_target:
         lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
-        target_contributions = list(zip(users[lo:hi].tolist(), vecs[lo:hi].copy()))
-    ledger = RoundLedger(round_index, users, items, fallbacks, target_contributions)
+        target_contributions = list(zip(contributors[lo:hi].tolist(), vecs[lo:hi].copy()))
+    ledger = RoundLedger(round_index, contributors, items, fallbacks, target_contributions)
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
 
@@ -322,14 +307,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # a file dataset's item count is known only once it is loaded
     config.check_item_count(dataset.num_items)
     leave_one_out_split(dataset)
-    profiles = build_profiles(dataset, config.dim, streams)
     embeddings = init_embeddings(dataset.num_items, config.dim, streams)
 
     target_item = config.attack.target_item
     if target_item is None:
         target_item = default_target_item(dataset)
     attack = AttackRuntime(config.attack, dataset.num_users, target_item)
-    attack.prepare_baselines(dataset, config.dim, streams.baseline())
+    fakes = attack.baseline_fakes(dataset, config.dim, streams.baseline())
+    users = build_user_table(dataset, config.dim, streams, *fakes)
 
     spec = config.aggregator  # an unset krum_m defaults to the true fake count
     if spec.krum_m is None:
@@ -348,15 +333,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         attack.observe_broadcast(embeddings)
         capture = config.dump_round == round_index
         embeddings, ledger = run_round(
-            embeddings,
-            profiles,
-            attack,
-            spec,
-            streams,
-            learning_rate=config.learning_rate,
-            participation=config.participation,
-            capture_target=capture,
-            bank=bank,
+            embeddings, users, attack, spec, streams,
+            config.learning_rate, config.participation, bank, capture,
         )
         ledgers.append(ledger)
         footprints[ledger.users, ledger.items] = True
@@ -374,10 +352,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 log.warning("round %d: target item received no contributions, nothing to dump", round_index)
 
         if round_index % config.eval_every == 0 or round_index == config.rounds:
-            users = np.stack([p.user_embedding for p in profiles])
-            if not np.isfinite(users).all():
+            if not np.isfinite(users.embeddings[: dataset.num_users]).all():
                 raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
-            ranked = evaluation.rank_metrics(profiles, users, embeddings, target_item, config.topk)
+            ranked = evaluation.rank_metrics(
+                users, dataset.num_users, embeddings, target_item, config.topk
+            )
             footprint = evaluation.footprint_stats(footprints[: dataset.num_users].sum(axis=1))
             metrics.append(evaluation.MetricsRecord(round_index, *ranked, footprint))
 
@@ -389,7 +368,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         metrics=metrics,
         ledgers=ledgers,
         final_embeddings=embeddings,
-        profiles=profiles,
+        profiles=users.profiles(dataset.num_users),
         dumps=dumps,
         wall_time=time.perf_counter() - started,
         warnings_count=sum(l.fallbacks.size for l in ledgers),

@@ -1,15 +1,17 @@
-"""Matrix-factorization model and local BPR training.
+"""Matrix-factorization model, the user table and local BPR training.
 
 The global model is one embedding vector per item; each user additionally
-holds a private embedding that never leaves the client. A local training
-step is one full-batch gradient step on the user's pairwise ranking loss
+holds a private embedding that never leaves the client. A run keeps every
+user in one ``UserTable``, one row per user id. A local training step is one
+full-batch gradient step on the user's pairwise ranking loss
 L = -sum_i ln sigmoid(score(pos_i) - score(neg_i)), uploaded as one delta
 row per touched item. Every participant of a round steps in one pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,17 +29,55 @@ class ItemEmbeddings:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def copy(self) -> "ItemEmbeddings":
-        return ItemEmbeddings(self.round, self.matrix.copy())
-
 
 @dataclass
-class UserProfile:
+class UserProfile:  # one user of a finished run, in ExperimentResult.profiles
     user_id: int
     user_embedding: np.ndarray  # private, never uploaded
     interacted: set[int]  # full interaction set (train + held-out test)
     train_items: list[int]
     test_item: Optional[int] = None
+
+
+@dataclass
+class UserTable:
+    """Every user of a run, row u for user id u: genuine users, then baseline fakes.
+
+    User u's train items, in order, are ``train_items[offsets[u]:offsets[u + 1]]``.
+    """
+
+    embeddings: np.ndarray  # (users, dim): private, never uploaded
+    interacted: np.ndarray  # (users, items) bool: train items and the held-out item
+    offsets: np.ndarray  # (users + 1,)
+    train_items: np.ndarray  # every user's train items, row after row
+    test_items: np.ndarray  # (users,): the held-out item, or -1 when there is none
+
+    @classmethod
+    def build(cls, embeddings, num_items: int, train_lists: Sequence, test_items: Sequence):
+        """The table of users with these train item lists and test items (-1: none)."""
+        lengths = [len(items) for items in train_lists]
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        flat = np.fromiter(chain.from_iterable(train_lists), np.int64, offsets[-1])
+        tests = np.array(test_items, dtype=np.int64)
+        interacted = np.zeros((len(lengths), num_items), dtype=bool)
+        interacted[np.repeat(np.arange(len(lengths)), lengths), flat] = True
+        tested = np.flatnonzero(tests >= 0)
+        interacted[tested, tests[tested]] = True
+        return cls(embeddings, interacted, offsets, flat, tests)
+
+    def __len__(self) -> int:
+        return len(self.embeddings)
+
+    def profiles(self, count: int) -> list[UserProfile]:
+        """Rows 0..count-1 as result records."""
+        return [
+            UserProfile(
+                u, self.embeddings[u].copy(), set(np.flatnonzero(self.interacted[u]).tolist()),
+                self.train_items[self.offsets[u] : self.offsets[u + 1]].tolist(),
+                None if self.test_items[u] < 0 else int(self.test_items[u]),
+            )
+            for u in range(count)
+        ]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -71,12 +111,17 @@ def train_step(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0), users.copy()
     num_users = len(users)
-    diff = matrix[pos]
-    diff -= matrix[neg]
-    margin = np.einsum("nd,nd->n", diff, users[owner])
     # dL/dmargin = -sigmoid(-margin); positives gain +c*u, negatives -c*u
-    c = _sigmoid(-margin)
-
+    c, stepped = np.empty(owner.size), users.copy()
+    # blocks of whole users, ~1 MB of (pair, d) temporaries each: peak memory stays put
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+    cuts = firsts[np.flatnonzero(np.diff(firsts // max(1, 2**17 // users.shape[1]), prepend=-1))]
+    for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [owner.size]):
+        diff = matrix[pos[lo:hi]] - matrix[neg[lo:hi]]
+        c[lo:hi] = _sigmoid(-np.einsum("nd,nd->n", diff, users[owner[lo:hi]]))
+        diff *= c[lo:hi, None]
+        heads = np.flatnonzero(np.diff(owner[lo:hi], prepend=-1))
+        stepped[owner[lo + heads]] += learning_rate * np.add.reduceat(diff, heads, axis=0)
     # every (item, user) delta is (sum of its +-c coefficients) * u
     keys = np.concatenate((pos * num_users + owner, neg * num_users + owner))
     order = np.argsort(keys, kind="stable")
@@ -87,9 +132,4 @@ def train_step(
     # a row scale * u is all zero exactly when scale * max|u| rounds to zero
     largest = np.abs(users).max(axis=1)[who]
     kept = (scale != 0.0) & (np.abs(scale) * largest != 0.0)
-
-    diff *= c[:, None]
-    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
-    stepped = users.copy()
-    stepped[owner[firsts]] += learning_rate * np.add.reduceat(diff, firsts, axis=0)
     return items[kept], who[kept], scale[kept], stepped

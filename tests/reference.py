@@ -2,7 +2,8 @@
 
 ``sample_pairs`` and ``local_train`` are the per-user sampling and training
 path the round engine replaced with ``data.draw_round_pairs`` and
-``model.train_step``; ``bpr_loss`` is the finite-difference oracle for the
+``model.train_step``; ``user_table`` puts such per-user profiles into the
+engine's ``UserTable``; ``bpr_loss`` is the finite-difference oracle for the
 gradient, and ``predict_score`` the dot-product score. ``aggregate_item``
 and the ``agg_*`` functions are the per-item aggregation path that
 ``aggregation.aggregate_round`` replaced; the HiCS bank is a dict of rows by
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fedrec_arena.aggregation import AggregatorSpec
-from fedrec_arena.model import ItemEmbeddings, UserProfile, _sigmoid
+from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable, _sigmoid
 
 
 class DegenerateUserError(ValueError):
@@ -43,6 +44,23 @@ def bpr_loss(
     neg = np.fromiter((n for _, n in pairs), dtype=np.int64, count=len(pairs))
     margin = (embeddings.matrix[pos] - embeddings.matrix[neg]) @ user_embedding
     return float(np.logaddexp(0.0, -margin).sum())
+
+
+def user_table(profiles: Sequence[UserProfile], num_items: int, dim: int) -> UserTable:
+    """The engine's user table with ``profiles`` as its rows, in list order.
+
+    Each row's interaction mask is the profile's ``interacted`` set as given.
+    """
+    table = UserTable.build(
+        np.array([p.user_embedding for p in profiles], dtype=float).reshape(len(profiles), dim),
+        num_items,
+        [p.train_items for p in profiles],
+        [-1 if p.test_item is None else p.test_item for p in profiles],
+    )
+    table.interacted[:] = False
+    for row, p in enumerate(profiles):
+        table.interacted[row, list(p.interacted)] = True
+    return table
 
 
 def sample_pairs(profile: UserProfile, num_items: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,7 +31,7 @@ from fedrec_arena.federation import (
     run_experiment,
     run_round,
 )
-from fedrec_arena.model import ItemEmbeddings, train_step
+from fedrec_arena.model import ItemEmbeddings, UserTable, train_step
 
 from reference import bpr_loss
 
@@ -409,8 +409,10 @@ def test_criterion_7_exact_capture():
     emb = ItemEmbeddings(round=ATTACK_START, matrix=rng.normal(size=(100, 32)))
     runtime = AttackRuntime(poisonfrs(), num_genuine=200, target_item=4)
     runtime.observe_broadcast(emb)
+    no_users = UserTable.build(np.empty((0, 32)), 100, [], [])
     after, ledger = run_round(
-        emb, [], runtime, AggregatorSpec(rule="fedavg"), SeedStreams(0)
+        emb, no_users, runtime, AggregatorSpec(rule="fedavg"), SeedStreams(0),
+        0.05, 1.0, np.zeros_like(emb.matrix),
     )
     err = np.max(np.abs(after.matrix[4] - runtime.scaled_target))
     contributors = int(np.count_nonzero(ledger.items == 4))

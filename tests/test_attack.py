@@ -17,6 +17,7 @@ from fedrec_arena.federation import (
     DatasetConfig,
     ExperimentConfig,
     SeedStreams,
+    build_user_table,
     run_experiment,
 )
 from fedrec_arena.model import ItemEmbeddings
@@ -215,19 +216,20 @@ def toy_dataset():
 
 def test_popular_fakes_use_highest_train_counts():
     ds = toy_dataset()
-    fakes = make_baseline_fakes("popular", ds, 2, target_item=5, rng=np.random.default_rng(0), dim=4)
-    assert fakes[0].train_items == [5, 0, 1]
-    assert fakes[0].interacted == {5, 0, 1}
+    rng = np.random.default_rng(0)
+    _, fakes = make_baseline_fakes("popular", ds, 2, target_item=5, rng=rng, dim=4)
+    assert fakes[0] == [5, 0, 1]
+    assert set(fakes[0]) == {5, 0, 1}
 
 
 def test_random_fakes_reproducible():
     ds = toy_dataset()
-    a = make_baseline_fakes("random", ds, 3, 5, np.random.default_rng(9), dim=4, count=2)
-    b = make_baseline_fakes("random", ds, 3, 5, np.random.default_rng(9), dim=4, count=2)
-    assert [f.train_items for f in a] == [f.train_items for f in b]
+    _, a = make_baseline_fakes("random", ds, 3, 5, np.random.default_rng(9), dim=4, count=2)
+    _, b = make_baseline_fakes("random", ds, 3, 5, np.random.default_rng(9), dim=4, count=2)
+    assert a == b
     for fake in a:
-        assert 5 in fake.train_items
-        assert len(fake.train_items) == 4
+        assert 5 in fake
+        assert len(fake) == 4
 
 
 def test_bandwagon_ten_percent_popular():
@@ -237,8 +239,8 @@ def test_bandwagon_ten_percent_popular():
     counts = ds.train_counts()
     top_item = int(np.lexsort((np.arange(40), -counts))[0])
     target = 39 if top_item != 39 else 38
-    fakes = make_baseline_fakes("bandwagon", ds, 10, target, np.random.default_rng(3), dim=4)
-    fillers = fakes[0].train_items[1:]
+    _, fakes = make_baseline_fakes("bandwagon", ds, 10, target, np.random.default_rng(3), dim=4)
+    fillers = fakes[0][1:]
     assert len(fillers) == 10
     assert fillers[0] == top_item  # ceil(0.1 * 10) = 1 popular slot
     assert len(set(fillers)) == 10
@@ -252,7 +254,11 @@ def test_baseline_filler_count_must_fit_catalog():
 
 def test_fake_ids_start_after_genuine():
     ds = toy_dataset()
-    fakes = make_baseline_fakes("random", ds, 2, 5, np.random.default_rng(0), dim=4, count=3)
+    rng = np.random.default_rng(0)
+    embeddings, items = make_baseline_fakes("random", ds, 2, 5, rng, dim=4, count=3)
+    users = build_user_table(ds, 4, SeedStreams(0), embeddings, items)
+    # only the fakes train on the target: user 2 holds it out
+    fakes = [p for p in users.profiles(len(users)) if 5 in p.train_items]
     assert [f.user_id for f in fakes] == [3, 4, 5]
 
 

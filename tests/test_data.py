@@ -16,6 +16,8 @@ from fedrec_arena.data import (
 )
 from fedrec_arena.model import UserProfile
 
+from reference import user_table
+
 
 def make_profile(user_id, train, test=None, dim=2):
     interacted = set(train) | ({test} if test is not None else set())
@@ -114,9 +116,15 @@ def test_split_held_out_item_has_maximal_order_key():
 
 # ---------------------------------------------------------------- pair sampling
 
+def draw(profiles, num_items, rng):
+    """draw_round_pairs over a table of ``profiles``, every row participating."""
+    table = user_table(profiles, num_items, dim=2)
+    return draw_round_pairs(table, np.arange(len(profiles)), rng)
+
+
 def pairs_of(profile, num_items, rng):
     """One profile's (positive, negative) rows from draw_round_pairs."""
-    _, pos, neg = draw_round_pairs([profile], num_items, rng)
+    _, pos, neg = draw([profile], num_items, rng)
     return np.column_stack((pos, neg))
 
 
@@ -163,7 +171,7 @@ def test_sample_pairs_never_hits_interactions_exhaustively():
 def test_sample_pairs_degenerate_user_draws_nothing():
     degenerate = make_profile(0, train=[0, 1], test=2)
     other = make_profile(1, train=[1], test=0)
-    owner, pos, neg = draw_round_pairs([degenerate, other], 3, np.random.default_rng(0))
+    owner, pos, neg = draw([degenerate, other], 3, np.random.default_rng(0))
     assert owner.tolist() == [1]
     assert pos.tolist() == [1]
     assert neg.tolist() == [2]
@@ -171,7 +179,7 @@ def test_sample_pairs_degenerate_user_draws_nothing():
 
 def test_draw_round_pairs_consumes_one_stream_in_row_order():
     profiles = [make_profile(0, train=[4, 1, 3], test=0), make_profile(1, train=[2], test=7)]
-    owner, pos, neg = draw_round_pairs(profiles, 8, np.random.default_rng(3))
+    owner, pos, neg = draw(profiles, 8, np.random.default_rng(3))
     assert owner.tolist() == [0, 0, 0, 1]
     assert pos.tolist() == [4, 1, 3, 2]
     # replay: every row draws once, then the rejected rows redraw in row order
@@ -185,6 +193,29 @@ def test_draw_round_pairs_consumes_one_stream_in_row_order():
         redraws += 1
     assert redraws > 0
     assert neg.tolist() == expected.tolist()
+
+
+def test_draw_round_pairs_reads_only_the_given_rows():
+    profiles = [
+        make_profile(0, train=[0, 1], test=2),
+        make_profile(1, train=[3], test=4),
+        make_profile(2, train=[5, 6, 7], test=0),
+    ]
+    table = user_table(profiles, 10, dim=2)
+    owner, pos, neg = draw_round_pairs(table, np.array([0, 2]), np.random.default_rng(4))
+    assert owner.tolist() == [0, 0, 1, 1, 1]
+    assert pos.tolist() == [0, 1, 5, 6, 7]
+    for row, negative in zip(owner, neg):
+        assert negative not in profiles[[0, 2][row]].interacted
+
+
+def test_train_counts_count_every_train_interaction():
+    ds = leave_one_out_split(generate_synthetic(30, 20, 3, 5, 1.0, np.random.default_rng(8)))
+    counts = np.zeros(ds.num_items, dtype=np.int64)
+    for items in ds.train_set.values():
+        for item in items:
+            counts[item] += 1
+    assert ds.train_counts().tolist() == counts.tolist()
 
 
 # ---------------------------------------------------------------- synthesis

@@ -13,6 +13,8 @@ from fedrec_arena.attack import AttackConfig
 from fedrec_arena.federation import DatasetConfig, ExperimentConfig, run_experiment
 from fedrec_arena.model import ItemEmbeddings, UserProfile
 
+from reference import user_table
+
 
 def profile(uid, u, interacted=(), train=(), test=None):
     return UserProfile(uid, np.asarray(u, dtype=float), set(interacted), list(train), test)
@@ -23,8 +25,8 @@ def embeddings(rows):
 
 
 def batched(profiles, emb, target_item, ks):
-    users = np.stack([p.user_embedding for p in profiles])
-    return rank_metrics(profiles, users, emb, target_item, ks)
+    table = user_table(profiles, emb.num_items, emb.dim)
+    return rank_metrics(table, len(profiles), emb, target_item, ks)
 
 
 def target_hit_ratio(users, emb, target_item, k):
@@ -255,7 +257,7 @@ def test_rank_metrics_k_above_candidate_count():
     rng = np.random.default_rng(9)
     emb = embeddings(rng.normal(size=(6, 2)))
     users = [
-        profile(i, rng.normal(size=2), interacted={0, 1, 2, i + 3}, train=[0, 1], test=i + 3)
+        profile(i, rng.normal(size=2), interacted={0, 1, 2, i + 3}, train=[0, 1, 2], test=i + 3)
         for i in range(3)
     ]
     got = assert_matches_reference(users, emb, 5, (2, 4, 50))
@@ -282,9 +284,9 @@ def test_rank_metrics_matches_reference_at_every_eval_of_a_run(monkeypatch):
     evals = []
     batched_path = evaluation.rank_metrics
 
-    def compared(profiles, users, emb, target_item, ks):
-        got = batched_path(profiles, users, emb, target_item, ks)
-        assert got == reference_metrics(profiles, emb, target_item, ks)
+    def compared(users, genuine, emb, target_item, ks):
+        got = batched_path(users, genuine, emb, target_item, ks)
+        assert got == reference_metrics(users.profiles(genuine), emb, target_item, ks)
         evals.append(got)
         return got
 

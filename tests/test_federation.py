@@ -1,4 +1,3 @@
-import copy
 import logging
 from dataclasses import replace
 
@@ -13,7 +12,7 @@ from fedrec_arena.federation import (
     DatasetConfig,
     ExperimentConfig,
     SeedStreams,
-    build_profiles,
+    build_user_table,
     default_target_item,
     init_embeddings,
     leave_one_out_split,
@@ -21,9 +20,9 @@ from fedrec_arena.federation import (
     run_experiment,
     run_round,
 )
-from fedrec_arena.model import ItemEmbeddings, UserProfile
+from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable
 
-from reference import DegenerateUserError, local_train, sample_pairs
+from reference import DegenerateUserError, local_train, sample_pairs, user_table
 
 
 def small_config(**overrides):
@@ -43,8 +42,29 @@ def small_config(**overrides):
     return ExperimentConfig(**params)
 
 
-def no_attack_runtime():
-    return AttackRuntime(AttackConfig(kind="none"), num_genuine=0, target_item=0)
+def no_attack_runtime(num_genuine=0):
+    return AttackRuntime(AttackConfig(kind="none"), num_genuine=num_genuine, target_item=0)
+
+
+def step(emb, users, attack, spec, streams, participation=1.0):
+    """run_round at the suite's learning rate, from an empty HiCS bank."""
+    bank = np.zeros_like(emb.matrix)
+    return run_round(emb, users, attack, spec, streams, 0.05, participation, bank)
+
+
+def genuine_table(dataset, dim, streams):
+    return build_user_table(dataset, dim, streams, np.empty((0, dim)), [])
+
+
+def first_rows(users, count):
+    """The table of users 0..count-1."""
+    return UserTable(
+        users.embeddings[:count].copy(),
+        users.interacted[:count].copy(),
+        users.offsets[: count + 1],
+        users.train_items,
+        users.test_items[:count],
+    )
 
 
 # ------------------------------------------------------------- run_round
@@ -53,7 +73,8 @@ def test_round_with_zero_users_leaves_embeddings_unchanged():
     streams = SeedStreams(0)
     emb = ItemEmbeddings(round=1, matrix=np.random.default_rng(0).normal(size=(5, 3)))
     before = emb.matrix.copy()
-    after, ledger = run_round(emb, [], no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
+    users = user_table([], 5, 3)
+    after, ledger = step(emb, users, no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
     assert np.array_equal(after.matrix, before)
     assert after.round == 2
     assert ledger.items.size == 0
@@ -66,11 +87,12 @@ def test_single_user_fedavg_applies_exact_update():
     profile = UserProfile(0, np.random.default_rng(6).normal(size=4), {0, 1}, [0, 1])
 
     shadow = UserProfile(0, profile.user_embedding.copy(), {0, 1}, [0, 1])
-    _, pos, neg = draw_round_pairs([shadow], 10, streams.negatives(1))
+    _, pos, neg = draw_round_pairs(user_table([shadow], 10, 4), np.arange(1), streams.negatives(1))
     pairs = np.column_stack((pos, neg))
     expected = dict(zip(*local_train(shadow, ItemEmbeddings(1, matrix.copy()), pairs, 0.05)))
 
-    after, ledger = run_round(emb, [profile], no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
+    users = user_table([profile], 10, 4)
+    after, ledger = step(emb, users, no_attack_runtime(1), AggregatorSpec(rule="fedavg"), streams)
     for item, delta in expected.items():
         assert after.matrix[item] == pytest.approx(matrix[item] + delta, rel=1e-12)
     untouched = [i for i in range(10) if i not in expected]
@@ -88,7 +110,7 @@ def test_fakes_only_round_captures_target_exactly():
         target_item=2,
     )
     runtime.observe_broadcast(emb)
-    after, _ = run_round(emb, [], runtime, AggregatorSpec(rule="fedavg"), streams)
+    after, _ = step(emb, user_table([], 12, 5), runtime, AggregatorSpec(rule="fedavg"), streams)
     assert np.max(np.abs(after.matrix[2] - runtime.scaled_target)) < 1e-12
 
 
@@ -97,10 +119,10 @@ def test_untouched_items_carry_over_bit_identical():
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
     leave_one_out_split(dataset)
-    profiles = build_profiles(dataset, config.dim, streams)[:5]
+    users = first_rows(genuine_table(dataset, config.dim, streams), 5)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     before = emb.matrix.copy()
-    after, ledger = run_round(emb, profiles, no_attack_runtime(), config.aggregator, streams)
+    after, ledger = step(emb, users, no_attack_runtime(5), config.aggregator, streams)
     touched = set(ledger.items.tolist())
     for item in range(dataset.num_items):
         if item not in touched:
@@ -114,9 +136,9 @@ def test_participation_accounting_no_attack():
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
     leave_one_out_split(dataset)
-    profiles = build_profiles(dataset, config.dim, streams)
+    users = genuine_table(dataset, config.dim, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
-    _, ledger = run_round(emb, profiles, no_attack_runtime(), config.aggregator, streams)
+    _, ledger = step(emb, users, no_attack_runtime(len(users)), config.aggregator, streams)
     total_contributions = ledger.items.size
     per_user_items = sum(
         len(set(ledger.items[ledger.users == user].tolist())) for user in set(ledger.users.tolist())
@@ -124,12 +146,17 @@ def test_participation_accounting_no_attack():
     assert total_contributions == per_user_items
 
 
-def _round_inputs(config):
+def _round_inputs(config, reverse=False):
+    """The genuine users' table, the initial item embeddings and the streams;
+    with ``reverse``, the split lists its users in reverse id order."""
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
     leave_one_out_split(dataset)
-    profiles = build_profiles(dataset, config.dim, streams)
-    return profiles, init_embeddings(dataset.num_items, config.dim, streams), streams
+    if reverse:
+        dataset.train_set = dict(reversed(dataset.train_set.items()))
+        dataset.test_set = dict(reversed(dataset.test_set.items()))
+    users = genuine_table(dataset, config.dim, streams)
+    return users, init_embeddings(dataset.num_items, config.dim, streams), streams
 
 
 @pytest.mark.parametrize(
@@ -141,10 +168,8 @@ def test_round_orders_contributions_by_contributor_whatever_the_upload_order(spe
     config = small_config()
     outcomes = []
     for reverse in (False, True):
-        profiles, emb, streams = _round_inputs(config)
-        if reverse:
-            profiles = profiles[::-1]
-        after, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
+        users, emb, streams = _round_inputs(config, reverse)
+        after, ledger = step(emb, users, no_attack_runtime(len(users)), spec, streams)
         outcomes.append(after.matrix)
         # the named rule, not its median fallback, aggregated at least one item
         assert len(ledger.fallbacks) < len(np.unique(ledger.items))
@@ -156,10 +181,10 @@ def test_round_orders_contributions_by_contributor_whatever_the_upload_order(spe
 
 def test_round_logs_one_fallback_record(caplog):
     config = small_config()
-    profiles, emb, streams = _round_inputs(config)
+    users, emb, streams = _round_inputs(config)
     spec = AggregatorSpec(rule="krum", krum_m=1000)  # degenerate on every item
     with caplog.at_level(logging.WARNING, logger="fedrec_arena.aggregation"):
-        _, ledger = run_round(emb, profiles, no_attack_runtime(), spec, streams)
+        _, ledger = step(emb, users, no_attack_runtime(len(users)), spec, streams)
     items = np.unique(ledger.items)
     assert len(items) > 1
     assert len(ledger.fallbacks) == len(items)
@@ -170,14 +195,14 @@ def test_round_logs_one_fallback_record(caplog):
 
 def test_round_skips_a_participant_who_interacted_with_every_item():
     config = small_config()
-    profiles, emb, streams = _round_inputs(config)
-    profiles = profiles[:6]
-    everything = profiles[2]
-    everything.interacted = set(range(emb.num_items))
-    before = everything.user_embedding.copy()
-    _, ledger = run_round(emb, profiles, no_attack_runtime(), config.aggregator, streams)
-    assert set(ledger.users.tolist()) == {p.user_id for p in profiles} - {everything.user_id}
-    assert np.array_equal(everything.user_embedding, before)
+    users, emb, streams = _round_inputs(config)
+    users = first_rows(users, 6)
+    everything = 2
+    users.interacted[everything] = True
+    before = users.embeddings[everything].copy()
+    _, ledger = step(emb, users, no_attack_runtime(6), config.aggregator, streams)
+    assert set(ledger.users.tolist()) == set(range(6)) - {everything}
+    assert np.array_equal(users.embeddings[everything], before)
 
 
 @pytest.mark.parametrize(
@@ -189,19 +214,22 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
     trained rows and user embeddings within 1e-12 of their largest entry."""
     attack = AttackConfig(kind=kind, fake_fraction=0.1, start_round=1, filler_count=3)
     config = small_config(participation=participation, attack=attack)
-    profiles, emb, streams = _round_inputs(config)
+    streams = SeedStreams(config.seed)
+    dataset = leave_one_out_split(resolve_dataset(config.dataset, streams))
+    emb = init_embeddings(dataset.num_items, config.dim, streams)
     num_items = emb.num_items
-    profiles[0].interacted = set(range(num_items))  # no candidate negative
-    profiles[1].train_items = profiles[1].train_items[:1]
-    runtime = AttackRuntime(attack, len(profiles), target_item=0)
-    dataset = resolve_dataset(config.dataset, SeedStreams(config.seed))
-    runtime.prepare_baselines(leave_one_out_split(dataset), config.dim, streams.baseline())
+    runtime = AttackRuntime(attack, dataset.num_users, target_item=0)
+    fakes = runtime.baseline_fakes(dataset, config.dim, streams.baseline())
+    dataset.train_set[1] = dataset.train_set[1][:1]
+    users = build_user_table(dataset, config.dim, streams, *fakes)
+    users.interacted[0] = True  # no candidate negative
 
     draws, blocks = [], []
     real_draw, real_aggregate = federation.draw_round_pairs, federation.aggregate_round
 
-    def spy_draw(participants, items, rng):
-        draws.append(([copy.deepcopy(p) for p in participants], *real_draw(participants, items, rng)))
+    def spy_draw(table, rows, rng):
+        everyone = table.profiles(len(table))
+        draws.append(([everyone[r] for r in rows], *real_draw(table, rows, rng)))
         return draws[-1][1:]
 
     def spy_aggregate(spec, items, vecs, bank):
@@ -213,12 +241,10 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
     for round_index in (1, 2, 3):
         emb.round = round_index
         runtime.observe_broadcast(emb)
-        broadcast = emb.copy()
+        broadcast = ItemEmbeddings(emb.round, emb.matrix.copy())
         draws.clear()
         blocks.clear()
-        emb, ledger = run_round(
-            emb, profiles, runtime, config.aggregator, streams, participation=participation
-        )
+        emb, ledger = step(emb, users, runtime, config.aggregator, streams, participation)
         (shadows, owner, pos, neg), = draws
         if participation == 1.0:
             assert {0, 1} <= {s.user_id for s in shadows}
@@ -247,10 +273,10 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
         largest = max(np.abs(d).max() for d in expected.values())
         assert max(np.abs(got[key] - d).max() for key, d in expected.items()) <= 1e-12 * largest
         trained = {s.user_id: s.user_embedding for s in shadows}
-        for p in profiles + runtime.baseline_profiles:
-            if p.user_id in trained:
-                tolerance = 1e-12 * np.abs(trained[p.user_id]).max()
-                assert np.abs(p.user_embedding - trained[p.user_id]).max() <= tolerance
+        for user_id, user_embedding in enumerate(users.embeddings):
+            if user_id in trained:
+                tolerance = 1e-12 * np.abs(trained[user_id]).max()
+                assert np.abs(user_embedding - trained[user_id]).max() <= tolerance
 
 
 # ------------------------------------------------------------- experiment
@@ -302,6 +328,39 @@ def test_baseline_fakes_join_training_at_start_round():
     for ledger in result.ledgers:
         seen = fake_ids & set(ledger.users.tolist())
         assert seen == (fake_ids if ledger.round >= 5 else set())
+
+
+def test_result_profiles_round_trip_the_split(tmp_path, monkeypatch):
+    """result.profiles holds every genuine user as the split left it, with the
+    user embedding the last round left in the table; the baseline fakes'
+    rows stay out."""
+    data = tmp_path / "data.tsv"
+    rows = [(0, 0, 0), (0, 3, 1), (0, 1, 2), (1, 2, 0), (1, 4, 1), (2, 5, 0),
+            (3, 1, 0), (3, 6, 1), (3, 7, 2), (3, 0, 3), (4, 3, 0), (4, 2, 1)]
+    data.write_text("users=5 items=8\n" + "".join(f"{u}\t{i}\t{o}\n" for u, i, o in rows))
+    attack = AttackConfig(kind="random", fake_fraction=0.4, start_round=2, filler_count=2)
+    config = small_config(dataset=DatasetConfig(kind="file", path=str(data)), rounds=4,
+                          topk=(1,), attack=attack)
+    tables = []
+    real_round = federation.run_round
+
+    def spy_round(emb, users, *args, **kwargs):
+        tables.append(users)
+        return real_round(emb, users, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "run_round", spy_round)
+    result = run_experiment(config)
+    dataset = leave_one_out_split(resolve_dataset(config.dataset, SeedStreams(config.seed)))
+    final = tables[-1]
+    assert len(final) == dataset.num_users + result.num_fakes == 7
+    assert [p.user_id for p in result.profiles] == list(range(dataset.num_users))
+    for p in result.profiles:
+        train, test = dataset.train_set[p.user_id], dataset.test_set.get(p.user_id)
+        assert p.train_items == train
+        assert p.interacted == set(train) | ({test} if test is not None else set())
+        assert p.test_item == test
+        assert np.array_equal(p.user_embedding, final.embeddings[p.user_id])
+    assert result.profiles[2].train_items == [5] and result.profiles[2].test_item is None
 
 
 def test_single_round_snapshot_equals_initial_embeddings():

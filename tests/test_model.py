@@ -6,7 +6,7 @@ import pytest
 from fedrec_arena.model import ItemEmbeddings, UserProfile, train_step
 from fedrec_arena.evaluation import rank_metrics
 
-from reference import bpr_loss, predict_score
+from reference import bpr_loss, predict_score, user_table
 
 
 def profile_with(u, interacted=(), train=(), test=None):
@@ -179,6 +179,27 @@ def test_local_train_updates_user_embedding_from_old_point():
     assert profile.user_embedding == pytest.approx([1.0])
 
 
+def test_train_step_in_blocks_matches_each_user_stepped_alone():
+    # 2**14 dims leave room for 8 pairs per block: users share blocks, and a
+    # user with more pairs than that fills a block alone
+    rng = np.random.default_rng(7)
+    num_users, num_items, dim = 12, 30, 2**14
+    users = 0.01 * rng.normal(size=(num_users, dim))
+    matrix = 0.01 * rng.normal(size=(num_items, dim))
+    owner = np.repeat(np.arange(num_users), rng.integers(1, 20, size=num_users))
+    owner = owner[owner != 4]  # a user without pairs keeps its row
+    pos = rng.integers(0, num_items, size=owner.size)
+    neg = (pos + rng.integers(1, num_items, size=owner.size)) % num_items
+    items, who, scale, stepped = train_step(users, matrix, owner, pos, neg, 0.05)
+    assert np.array_equal(stepped[4], users[4])
+    for u in set(owner.tolist()):
+        mine = owner == u
+        alone = train_step(users[u : u + 1], matrix, 0 * owner[mine], pos[mine], neg[mine], 0.05)
+        assert np.array_equal(alone[0], items[who == u])
+        assert np.array_equal(alone[2], scale[who == u])
+        assert np.array_equal(alone[3][0], stepped[u])
+
+
 # ---------------------------------------------------------------- ranking
 
 def recommend_topk(profile, emb, k):
@@ -192,8 +213,8 @@ def recommend_topk(profile, emb, k):
     ahead = {}
     for item in set(range(emb.num_items)) - profile.interacted:
         bystander = UserProfile(-1, np.zeros(emb.dim), {item}, [], item)
-        users = np.stack([profile.user_embedding, bystander.user_embedding])
-        _, target_hr_at, _ = rank_metrics([profile, bystander], users, emb, item, ks)
+        users = user_table([profile, bystander], emb.num_items, emb.dim)
+        _, target_hr_at, _ = rank_metrics(users, 2, emb, item, ks)
         ahead[item] = sum(1 for hit in target_hr_at.values() if hit == 0.0)
     return sorted(ahead, key=ahead.get)[:k]
 
