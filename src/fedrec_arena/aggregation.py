@@ -1,7 +1,8 @@
 """Server-side aggregation rules, batched over the items of a round.
 
-``aggregate_round`` buckets a round's items by contributor count n, gathers
-each bucket into a (k, n, d) block and runs the rule once over it along
+A round's contribution table is rank-1: row r is ``scale[r] * sources[who[r]]``.
+``aggregate_round`` buckets the items by contributor count n, builds each
+bucket's (k, n, d) block from ``sources`` and runs the rule once over it along
 axis 1. A rule's preconditions depend only on n, so a bucket that fails them
 falls back to the median as a whole. HiCS carries a bank between rounds, an
 (items, d) array the caller owns. ``aggregate_rows`` runs one item's rows
@@ -117,30 +118,35 @@ def _aggregate_block(spec: AggregatorSpec, block: np.ndarray, bank, ids) -> np.n
 
 
 def aggregate_round(
-    spec: AggregatorSpec, items: np.ndarray, vecs: np.ndarray, bank: Optional[np.ndarray]
+    spec: AggregatorSpec, items: np.ndarray, who: np.ndarray, scale: np.ndarray,
+    sources: np.ndarray, bank: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate a round's contribution table under the spec's rule.
 
-    ``items`` is sorted, so each item's rows of ``vecs`` are contiguous and
-    every rule sees them in table order. ``bank`` is the HiCS bank, updated
-    in place. Returns the touched item ids in ascending order, their (touched,
-    d) deltas, and the ids of the items that fell back to the median.
+    Row r is ``scale[r] * sources[who[r]]`` for item ``items[r]``; ``items``
+    is sorted, and every rule sees an item's rows in table order. ``bank``
+    is the HiCS bank, updated in place. Returns the touched item ids in
+    ascending order, their (touched, d) deltas, and the ids of the items
+    that fell back to the median.
     """
     starts = np.flatnonzero(np.diff(items, prepend=-1))
     counts = np.diff(np.append(starts, items.size))
     touched = items[starts]
     by_count = np.argsort(counts, kind="stable")  # each bucket is one run of it
-    edges = np.flatnonzero(np.diff(counts[by_count], prepend=-1, append=-1))
-    deltas = np.empty((touched.size, vecs.shape[1]))
+    sizes = counts[by_count]
+    edges = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1))
+    firsts = np.cumsum(sizes) - sizes  # each item's first row once the rows run bucket by bucket
+    regroup = np.arange(items.size) + np.repeat(starts[by_count] - firsts, sizes)
+    who, scale, firsts = who[regroup], scale[regroup], firsts.tolist()
+    deltas = np.empty((touched.size, sources.shape[1]))
     degenerate = np.zeros(touched.size, dtype=bool)
     for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
         bucket = by_count[lo:hi]
-        n = int(counts[bucket[0]])
-        if hi - lo == 1:  # a lone item's rows are already one block
-            block = vecs[starts[bucket[0]] : starts[bucket[0]] + n][None]
-        else:
-            block = vecs[starts[bucket, None] + np.arange(n)]
-        if degenerate_reason(spec, n, vecs.shape[1]) is None:
+        n = int(sizes[lo])
+        rows = slice(firsts[lo], firsts[lo] + (hi - lo) * n)
+        block = sources[who[rows]].reshape(hi - lo, n, -1)
+        block *= scale[rows].reshape(hi - lo, n, 1)
+        if degenerate_reason(spec, n, sources.shape[1]) is None:
             deltas[bucket] = _aggregate_block(spec, block, bank, touched[bucket])
         else:
             deltas[bucket] = _median(block)
@@ -157,5 +163,6 @@ def aggregate_rows(
     and whether the item fell back to the median."""
     rows = np.asarray(rows, dtype=float)
     bank = np.zeros((1, rows.shape[1])) if bank is None else bank[None]
-    _, deltas, fallbacks = aggregate_round(spec, np.zeros(len(rows), np.int32), rows, bank)
+    n = len(rows)  # rows[r] * 1.0 is rows[r], bit for bit
+    _, deltas, fallbacks = aggregate_round(spec, np.zeros(n, np.int32), np.arange(n), np.ones(n), rows, bank)
     return deltas[0], bool(fallbacks.size)

@@ -2,10 +2,11 @@
 
 A run keeps its users in one ``UserTable``. A round trains every participant
 row at once, in place: one draw of every negative, one gradient pass. Its
-uploads form one contribution table: parallel arrays of contributor ids,
-item ids and delta rows, sorted by (item, contributor), so every item's
-contributions are one contiguous block of rows. One call to
-``aggregation.aggregate_round`` aggregates every touched item from it.
+uploads form one rank-1 contribution table: parallel arrays of item ids,
+source rows and scales, sorted by (item, contributor), so every item's
+contributions are one contiguous run. Row k is ``scale[k] * sources[who[k]]``
+and is built only inside ``aggregation.aggregate_round``, which aggregates
+every touched item in one call.
 
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
@@ -262,22 +263,20 @@ def run_round(
     noise_rngs = [streams.fake_noise(round_index, fake) for fake in attack.fake_ids if noisy]
     fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, noise_rngs)
 
-    # Row k of the table is scale[k] * sources[who[k]]: the old participant
-    # embeddings, then the crafted rows at scale 1. Crafted fake ids exceed
-    # every participant id and training emits (item, user) order, so one
-    # stable sort by item orders the whole table by (item, contributor).
+    # Row k of the table is scale[k] * sources[who[k]], never built here: the
+    # old participant embeddings, then the crafted rows at scale 1. Crafted
+    # fake ids exceed every participant id and training emits (item, user)
+    # order, so one stable sort by item orders the table by (item, contributor).
     sources = np.concatenate((user_rows, fake_deltas))
     source_ids = np.concatenate((rows.astype(np.int32), fake_ids))  # int32 halves each ledger
     items = np.concatenate((items, fake_items))
     who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
     scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
     order = np.argsort(items, kind="stable")
-    items, who = items[order].astype(np.int32), who[order]
+    items, who, scale = items[order].astype(np.int32), who[order], scale[order]
     contributors = source_ids[who]
-    vecs = sources[who]
-    vecs *= scale[order][:, None]
 
-    touched, deltas, fallbacks = aggregate_round(spec, items, vecs, bank)
+    touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
     matrix = embeddings.matrix.copy()
     matrix[touched] += deltas
     if fallbacks.size:
@@ -289,7 +288,8 @@ def run_round(
     target_contributions = None
     if capture_target:
         lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
-        target_contributions = list(zip(contributors[lo:hi].tolist(), vecs[lo:hi].copy()))
+        target_rows = sources[who[lo:hi]] * scale[lo:hi, None]
+        target_contributions = list(zip(contributors[lo:hi].tolist(), target_rows))
     ledger = RoundLedger(round_index, contributors, items, fallbacks, target_contributions)
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
@@ -315,6 +315,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     attack = AttackRuntime(config.attack, dataset.num_users, target_item)
     fakes = attack.baseline_fakes(dataset, config.dim, streams.baseline())
     users = build_user_table(dataset, config.dim, streams, *fakes)
+    num_genuine = dataset.num_users
+    del dataset  # no round reads the split: free it before round 1
 
     spec = config.aggregator  # an unset krum_m defaults to the true fake count
     if spec.krum_m is None:
@@ -322,11 +324,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     bank = np.zeros_like(embeddings.matrix)  # HiCS carry-over, empty every run
 
     # (genuine + fake users, items): whether the user ever uploaded for the item
-    footprints = np.zeros((dataset.num_users + attack.num_fakes, dataset.num_items), dtype=bool)
+    footprints = np.zeros((num_genuine + attack.num_fakes, embeddings.num_items), dtype=bool)
     metrics: list[evaluation.MetricsRecord] = []
     ledgers: list[RoundLedger] = []
     dumps: list[evaluation.UpdateDump] = []
-    labels = {u: "genuine" for u in range(dataset.num_users)}
+    labels = {u: "genuine" for u in range(num_genuine)}
     labels.update({f: "fake" for f in attack.fake_ids})
 
     for round_index in range(1, config.rounds + 1):
@@ -352,23 +354,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 log.warning("round %d: target item received no contributions, nothing to dump", round_index)
 
         if round_index % config.eval_every == 0 or round_index == config.rounds:
-            if not np.isfinite(users.embeddings[: dataset.num_users]).all():
+            if not np.isfinite(users.embeddings[:num_genuine]).all():
                 raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
             ranked = evaluation.rank_metrics(
-                users, dataset.num_users, embeddings, target_item, config.topk
+                users, num_genuine, embeddings, target_item, config.topk
             )
-            footprint = evaluation.footprint_stats(footprints[: dataset.num_users].sum(axis=1))
+            footprint = evaluation.footprint_stats(footprints[:num_genuine].sum(axis=1))
             metrics.append(evaluation.MetricsRecord(round_index, *ranked, footprint))
 
     return ExperimentResult(
         config=config,
         target_item=target_item,
-        num_genuine=dataset.num_users,
+        num_genuine=num_genuine,
         num_fakes=attack.num_fakes,
         metrics=metrics,
         ledgers=ledgers,
         final_embeddings=embeddings,
-        profiles=users.profiles(dataset.num_users),
+        profiles=users.profiles(num_genuine),
         dumps=dumps,
         wall_time=time.perf_counter() - started,
         warnings_count=sum(l.fallbacks.size for l in ledgers),

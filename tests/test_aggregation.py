@@ -250,7 +250,9 @@ def test_aggregate_round_median_single_contribution():
 def test_aggregate_round_degenerate_falls_back_to_median():
     spec = AggregatorSpec(rule="trimmed_mean", trim_beta=2)
     items = np.full(3, 9, np.int32)
-    touched, deltas, fallbacks = aggregate_round(spec, items, np.array([[1.0], [2.0], [100.0]]), None)
+    sources = np.array([[4.0], [100.0]])  # rows 0.25 * 4, 0.5 * 4 and 1 * 100
+    who, scale = np.array([0, 0, 1]), np.array([0.25, 0.5, 1.0])
+    touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, None)
     assert touched.tolist() == [9]
     assert deltas[0] == pytest.approx([2.0])
     assert fallbacks.tolist() == [9]
@@ -325,26 +327,27 @@ def same_bits(a, b):
 
 
 def check_rounds_against_reference(spec, rounds, num_items, d):
-    """Run every round's table through aggregate_round and, item by item,
-    through reference.aggregate_item, both carrying their own HiCS bank.
+    """Run every round's rank-1 table through aggregate_round and, item by
+    item, its rows built one by one through reference.aggregate_item, both
+    carrying their own HiCS bank.
 
-    ``rounds`` is a list of {item: (n, d) rows}. Every delta and bank row
-    must be bit-identical, and the fallback ids must be the items the
-    reference warned about. Returns the fallback ids of every round.
+    A round is a table (items, who, scale, sources) whose row r is
+    ``scale[r] * sources[who[r]]``. Every delta and bank row must be
+    bit-identical, and the fallback ids must be the items the reference
+    warned about. Returns the fallback ids of every round.
     """
     bank = np.zeros((num_items, d))
     state = {}
     seen = []
-    for blocks in rounds:
-        ids = sorted(blocks)
-        items = np.concatenate([np.full(len(blocks[i]), i, np.int32) for i in ids])
-        vecs = np.concatenate([blocks[i] for i in ids])
-        touched, deltas, fallbacks = aggregate_round(spec, items, vecs, bank)
+    for items, who, scale, sources in rounds:
+        built = sources[who] * scale[:, None]
+        ids = np.unique(items).tolist()
+        touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
         assert touched.tolist() == ids
         warned = []
         for item, got in zip(ids, deltas):
             messages = []
-            want = reference.aggregate_item(spec, item, blocks[item], messages, state)
+            want = reference.aggregate_item(spec, item, built[items == item], messages, state)
             assert same_bits(got, want), (item, got, want)
             if messages:
                 warned.append(item)
@@ -355,15 +358,39 @@ def check_rounds_against_reference(spec, rounds, num_items, d):
     return seen
 
 
-def random_blocks(rng, counts, d, scale=1.0):
-    return {item: scale * rng.normal(size=(n, d)) for item, n in enumerate(counts)}
+def rank1_round(rng, counts, d, size=1.0):
+    """A round's table in which item i has counts[i] rows, like an engine
+    round's: genuine rows are scales drawn from [0.5, 2) times rows of one
+    shared pool of users, each item's contributors in id order; every even
+    item ends in a crafted row at scale 1, over a source row of its own."""
+    pool = max(counts) + 2
+    sources = [size * rng.normal(size=(pool, d))]
+    items, who, scale = [], [], []
+    for item, n in enumerate(counts):
+        crafted = int(item % 2 == 0)
+        who += np.sort(rng.choice(pool, n - crafted, replace=False)).tolist()
+        who += [pool + len(sources) - 1] * crafted
+        sources += [size * rng.normal(size=(1, d))] * crafted
+        scale += rng.uniform(0.5, 2.0, n - crafted).tolist() + [1.0] * crafted
+        items += [item] * n
+    return np.array(items, np.int32), np.array(who), np.array(scale), np.concatenate(sources)
+
+
+def table_of_blocks(blocks):
+    """A rank-1 table whose rows are exactly the {item: (n, d) rows} given:
+    equal rows share one source row, halved, at scale 2."""
+    ids = sorted(blocks)
+    rows = np.concatenate([blocks[i] for i in ids])
+    sources, who = np.unique(rows, axis=0, return_inverse=True)
+    items = np.concatenate([np.full(len(blocks[i]), i, np.int32) for i in ids])
+    return items, who.reshape(-1), np.full(len(rows), 2.0), sources / 2.0
 
 
 @pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
 def test_round_mixing_counts_matches_reference(spec):
     rng = np.random.default_rng(10)
     counts = [1, 2, 3, 4, 5, 6, 9, 12, 3, 5, 1, 12, 7, 2]
-    rounds = [random_blocks(rng, counts, 4) for _ in range(2)]
+    rounds = [rank1_round(rng, counts, 4) for _ in range(2)]
     fallbacks = check_rounds_against_reference(spec, rounds, len(counts), 4)
     if spec.rule in ("trimmed_mean", "krum"):
         # n <= 4 fails both rules here, so both bucket kinds share each round
@@ -384,7 +411,7 @@ def test_round_with_exact_ties_matches_reference(spec):
     }
     blocks = {item: np.tile(np.array(rows), (1, 12)) for item, rows in pairs.items()}
     spec = replace(spec, krum_m=0, trim_beta=1)
-    check_rounds_against_reference(spec, [blocks], 5, 24)
+    check_rounds_against_reference(spec, [table_of_blocks(blocks)], 5, 24)
     if spec.rule == "krum":
         out, _ = aggregate_rows(spec, blocks[0])
         assert out.tolist() == [1.0, 1.0] * 12  # lowest index among the tied rows
@@ -393,7 +420,7 @@ def test_round_with_exact_ties_matches_reference(spec):
 @pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
 def test_round_of_single_contributions_matches_reference(spec):
     rng = np.random.default_rng(11)
-    rounds = [random_blocks(rng, [1] * 6, 5, scale=4.0) for _ in range(2)]
+    rounds = [rank1_round(rng, [1] * 6, 5, size=4.0) for _ in range(2)]
     fallbacks = check_rounds_against_reference(spec, rounds, 6, 5)
     assert all(len(f) == (6 if spec.rule in ("trimmed_mean", "krum") else 0) for f in fallbacks)
 
@@ -402,7 +429,7 @@ def test_krum_degenerate_in_one_bucket_only():
     rng = np.random.default_rng(12)
     spec = AggregatorSpec(rule="krum", krum_m=1)
     counts = [2, 4, 5, 2, 4, 5]  # n - m - 2 < 1 only for n = 2
-    fallbacks = check_rounds_against_reference(spec, [random_blocks(rng, counts, 3)], 6, 3)
+    fallbacks = check_rounds_against_reference(spec, [rank1_round(rng, counts, 3)], 6, 3)
     assert fallbacks == [[0, 3]]
 
 
@@ -410,7 +437,7 @@ def test_trimmed_mean_default_beta_across_twenty():
     rng = np.random.default_rng(13)
     spec = AggregatorSpec(rule="trimmed_mean")  # beta 1 below n = 20, 2 from it
     counts = [2, 3, 18, 19, 20, 21, 25, 19, 20]
-    fallbacks = check_rounds_against_reference(spec, [random_blocks(rng, counts, 3)], 9, 3)
+    fallbacks = check_rounds_against_reference(spec, [rank1_round(rng, counts, 3)], 9, 3)
     assert fallbacks == [[0]]  # only n = 2 overtrims
 
 
@@ -424,7 +451,8 @@ def test_hics_bank_over_three_rounds_with_a_skipped_item(z):
         {0: rng.normal(size=(3, d)), 1: rng.normal(size=(3, d)), 2: rng.normal(size=(1, d))},
     ]
     spec = AggregatorSpec(rule="hics", hics_z=z)
-    assert check_rounds_against_reference(spec, rounds, 3, d) == [[], [], []]
+    tables = [table_of_blocks(blocks) for blocks in rounds]
+    assert check_rounds_against_reference(spec, tables, 3, d) == [[], [], []]
 
 
 @pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
@@ -432,11 +460,11 @@ def test_round_with_huge_fake_rows_beside_zero_rows_matches_reference(spec):
     rng = np.random.default_rng(16)
     rounds = []
     for _ in range(3):
-        blocks = random_blocks(rng, [2, 5, 5, 7, 9, 1], 4, scale=0.05)
+        blocks = {item: 0.05 * rng.normal(size=(n, 4)) for item, n in enumerate([2, 5, 5, 7, 9, 1])}
         for item, rows in blocks.items():
             rows[0] = 0.0
             rows[-1] = 1e25 * rng.normal(size=4)
-        rounds.append(blocks)
+        rounds.append(table_of_blocks(blocks))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check_rounds_against_reference(spec, rounds, 6, 4)

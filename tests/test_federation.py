@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,32 @@ def test_round_skips_a_participant_who_interacted_with_every_item():
     assert np.array_equal(users.embeddings[everything], before)
 
 
+def test_round_builds_no_array_the_size_of_its_upload_table():
+    """Upload rows are built bucket by bucket from the rank-1 table, so the
+    round's traced peak stays below one (rows, d) float64 array. At this
+    shape that table would be the largest array of the round by far."""
+    config = small_config(
+        dataset=DatasetConfig(kind="synthetic", users=400, items=500, latent_dim=4,
+                              interactions_per_user=20, popularity_skew=1.0),
+        dim=64,
+        aggregator=AggregatorSpec(rule="median"),
+    )
+    streams = SeedStreams(config.seed)
+    dataset = leave_one_out_split(resolve_dataset(config.dataset, streams))
+    emb = init_embeddings(dataset.num_items, config.dim, streams)
+    users = genuine_table(dataset, config.dim, streams)
+    tracemalloc.start()
+    try:
+        attack = no_attack_runtime(dataset.num_users)
+        _, ledger = step(emb, users, attack, config.aggregator, streams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = ledger.items.size * config.dim * 8
+    assert table_bytes > 5 * emb.matrix.nbytes
+    assert peak < table_bytes, (peak, table_bytes)
+
+
 @pytest.mark.parametrize(
     "participation, kind", [(1.0, "random"), (0.6, "random"), (1.0, "poisonfrs")]
 )
@@ -232,9 +259,9 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
         draws.append(([everyone[r] for r in rows], *real_draw(table, rows, rng)))
         return draws[-1][1:]
 
-    def spy_aggregate(spec, items, vecs, bank):
-        blocks.append(vecs.copy())
-        return real_aggregate(spec, items, vecs, bank)
+    def spy_aggregate(spec, items, who, scale, sources, bank):
+        blocks.append(sources[who] * scale[:, None])
+        return real_aggregate(spec, items, who, scale, sources, bank)
 
     monkeypatch.setattr(federation, "draw_round_pairs", spy_draw)
     monkeypatch.setattr(federation, "aggregate_round", spy_aggregate)
