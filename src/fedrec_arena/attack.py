@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import InteractionDataset
 from .model import ItemEmbeddings
 
 BASELINE_KINDS = ("random", "popular", "bandwagon")
@@ -96,54 +95,47 @@ def select_fillers(
     return order[order != target_item][:f].tolist()
 
 
-def _popularity_order(dataset: InteractionDataset) -> list[int]:
-    counts = dataset.train_counts()
-    return [int(i) for i in np.lexsort((np.arange(dataset.num_items), -counts))]
-
-
 def make_baseline_fakes(
     kind: str,
-    dataset: InteractionDataset,
+    train_counts: np.ndarray,
     filler_count: int,
     target_item: int,
     rng: np.random.Generator,
     dim: int,
     count: int = 1,
-) -> tuple[np.ndarray, list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fake users whose interactions are the target item plus fillers.
 
     random: fillers drawn uniformly without replacement.
-    popular: the filler_count most train-interacted items.
+    popular: the filler_count most train-interacted items (``train_counts``).
     bandwagon: ceil(10%) most-popular items, the rest uniform random.
 
-    Returns the fakes' ``(count, dim)`` initial embeddings and each fake's
-    train items, the target first. They become the user table's last rows
-    and run the regular local-training path.
+    Returns the fakes' ``(count, dim)`` initial embeddings and train items, one
+    row of ``filler_count + 1`` each, the target first. They become the user
+    table's last rows and run the regular local-training path.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    if filler_count >= dataset.num_items:
+    if filler_count >= train_counts.size:
         raise ValueError("filler_count must be smaller than the item count")
-    by_popularity = [i for i in _popularity_order(dataset) if i != target_item]
-    pool = np.array([i for i in range(dataset.num_items) if i != target_item])
+    pool = np.delete(np.arange(train_counts.size), target_item)
+    by_popularity = pool[np.argsort(-train_counts[pool], kind="stable")]
 
-    vectors, item_lists = [], []
+    vectors, item_rows = [], []
     for _ in range(count):
         if kind == "popular":
             fillers = by_popularity[:filler_count]
         elif kind == "random":
-            fillers = [int(i) for i in rng.choice(pool, size=filler_count, replace=False)]
+            fillers = rng.choice(pool, size=filler_count, replace=False)
         else:  # bandwagon
             num_popular = math.ceil(BANDWAGON_POPULAR_SHARE * filler_count)
-            fillers = by_popularity[:num_popular]
-            remaining = pool[~np.isin(pool, fillers)]
-            extra = filler_count - num_popular
-            fillers = fillers + [
-                int(i) for i in rng.choice(remaining, size=extra, replace=False)
-            ]
-        item_lists.append([target_item] + fillers)
+            remaining = pool[~np.isin(pool, by_popularity[:num_popular])]
+            extra = rng.choice(remaining, size=filler_count - num_popular, replace=False)
+            fillers = np.concatenate((by_popularity[:num_popular], extra))
+        item_rows.append(np.concatenate(([target_item], fillers)))
         vectors.append(rng.uniform(-0.05, 0.05, size=dim))
-    return np.array(vectors).reshape(count, dim), item_lists
+    items = np.array(item_rows, dtype=np.int64).reshape(count, filler_count + 1)
+    return np.array(vectors).reshape(count, dim), items
 
 
 class AttackRuntime:
@@ -170,13 +162,14 @@ class AttackRuntime:
         """Whether the crafted attack uploads this round."""
         return self.config.kind == "poisonfrs" and self.active(round_index)
 
-    def baseline_fakes(self, dataset: InteractionDataset, dim: int, rng):
+    def baseline_fakes(self, train_counts: np.ndarray, dim: int, rng):
         """The baseline fakes' embeddings and train items; none for other attacks."""
         if self.config.kind not in BASELINE_KINDS or self.num_fakes == 0:
-            return np.empty((0, dim)), []
+            return np.empty((0, dim)), np.empty((0, 0), dtype=np.int64)
         config = self.config
         return make_baseline_fakes(
-            config.kind, dataset, config.filler_count, self.target_item, rng, dim, self.num_fakes
+            config.kind, train_counts, config.filler_count, self.target_item, rng, dim,
+            self.num_fakes,
         )
 
     def observe_broadcast(self, embeddings: ItemEmbeddings) -> None:

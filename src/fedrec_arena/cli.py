@@ -266,7 +266,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fp:
         dump_dataset(dataset, fp)
-    print(f"wrote {len(dataset.interactions)} interactions to {out}")
+    print(f"wrote {dataset.users.size} interactions to {out}")
     return 0
 
 

@@ -2,14 +2,15 @@
 
 All ids are dense integers starting at 0. Feedback is implicit: ratings in
 input files are parsed and thrown away, only (user, item, order) survives.
+A dataset is three parallel int64 arrays in ingestion order; ``leave_one_out_split``
+turns it into the train rows by user and held-out items that ``UserTable.build`` reads.
 Negative sampling reads the run's ``UserTable``: its interaction mask and
 each user's train items.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -31,25 +32,14 @@ class EmptyDatasetError(ValueError):
 
 @dataclass
 class InteractionDataset:
+    """Interaction k is user ``users[k]`` on item ``items[k]`` with order key
+    ``orders[k]`` (int64 arrays, ingestion order); no (user, item) pair repeats."""
+
     num_users: int
     num_items: int
-    # (user_id, item_id, order_key) in ingestion order
-    interactions: list[tuple[int, int, int]]
-    # populated by leave_one_out_split
-    train_set: dict[int, list[int]] = field(default_factory=dict)
-    test_set: dict[int, int] = field(default_factory=dict)
-
-    def interactions_by_user(self) -> dict[int, list[tuple[int, int]]]:
-        """Per-user [(item, order_key), ...] in ingestion order."""
-        by_user: dict[int, list[tuple[int, int]]] = {}
-        for u, i, o in self.interactions:
-            by_user.setdefault(u, []).append((i, o))
-        return by_user
-
-    def train_counts(self) -> np.ndarray:
-        """Number of train interactions per item (requires a split)."""
-        items = np.fromiter(chain.from_iterable(self.train_set.values()), np.int64)
-        return np.bincount(items, minlength=self.num_items)
+    users: np.ndarray
+    items: np.ndarray
+    orders: np.ndarray
 
 
 _DELIMITERS = ("::", "\t", ",")
@@ -73,7 +63,7 @@ def parse_ratings(stream: Iterable[str], delimiter: Optional[str] = None) -> Int
     user_ids: dict[str, int] = {}
     item_ids: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
-    interactions: list[tuple[int, int, int]] = []
+    rows: list[int] = []
 
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -99,29 +89,31 @@ def parse_ratings(stream: Iterable[str], delimiter: Optional[str] = None) -> Int
         if (user, item) in seen:
             continue
         seen.add((user, item))
-        interactions.append((user, item, order_key))
+        rows += (user, item, order_key)
 
-    if not interactions:
+    if not rows:
         raise EmptyDatasetError("rating input contains no records")
-    return InteractionDataset(len(user_ids), len(item_ids), interactions)
+    users, items, orders = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    return InteractionDataset(len(user_ids), len(item_ids), users, items, orders)
 
 
-def leave_one_out_split(dataset: InteractionDataset) -> InteractionDataset:
+def leave_one_out_split(dataset: InteractionDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hold out each user's last interaction (max order key, ties to larger item id).
 
-    Users with a single interaction keep it in train and get no test item.
-    Mutates and returns the dataset.
+    Returns ``(owners, train_items, test_items)``, as ``UserTable.build`` reads them:
+    the train rows by ascending user, each user's in ingestion order, and per user
+    the held-out item or -1. A user's single interaction stays in train.
     """
-    dataset.train_set = {}
-    dataset.test_set = {}
-    for user, rows in dataset.interactions_by_user().items():
-        if len(rows) < 2:
-            dataset.train_set[user] = [i for i, _ in rows]
-            continue
-        held = max(rows, key=lambda r: (r[1], r[0]))
-        dataset.train_set[user] = [i for i, _ in rows if i != held[0]]
-        dataset.test_set[user] = held[0]
-    return dataset
+    users, items = dataset.users, dataset.items
+    last = np.lexsort((items, dataset.orders, users))  # by user, then order key, then item
+    counts = np.bincount(users, minlength=dataset.num_users)
+    tested = np.flatnonzero(counts >= 2)
+    held = last[np.cumsum(counts)[tested] - 1]
+    test_items = np.full(dataset.num_users, -1, dtype=np.int64)
+    test_items[tested] = items[held]
+    train = np.delete(np.arange(users.size), held)
+    train = train[np.argsort(users[train], kind="stable")]
+    return users[train], items[train], test_items
 
 
 def draw_round_pairs(
@@ -191,27 +183,36 @@ def generate_synthetic(
     popularity_logit = -popularity_skew * 1.5 * np.log(popularity_rank + 1.0)
     affinity_scale = 1.2 / math.sqrt(latent_dim)
 
-    interactions: list[tuple[int, int, int]] = []
+    chosen = np.empty((n_users, interactions_per_user), dtype=np.int64)
     for user in range(n_users):
         score = (
             affinity_scale * (item_factors @ user_factors[user])
             + popularity_logit
             + rng.gumbel(0.0, 1.0, size=n_items)
         )
-        chosen = np.argsort(-score, kind="stable")[:interactions_per_user]
-        interactions.extend((user, int(item), seq) for seq, item in enumerate(chosen))
-    return InteractionDataset(n_users, n_items, interactions)
+        chosen[user] = top_k(score, interactions_per_user)
+    users, orders = np.indices(chosen.shape).reshape(2, -1)
+    return InteractionDataset(n_users, n_items, users, chosen.ravel(), orders)
+
+
+def top_k(score: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-score, kind="stable")[:k]``, sorting only the entries at or
+    above the k-th largest score: ties at the cut go to the lower ids."""
+    cut = np.partition(score, score.size - k)[score.size - k]
+    candidates = np.flatnonzero(score >= cut)
+    return candidates[np.argsort(-score[candidates], kind="stable")[:k]]
 
 
 def dump_dataset(dataset: InteractionDataset, fp: IO[str]) -> None:
     """Write the line-oriented serialization: header then ``u<TAB>i<TAB>order``."""
     fp.write(f"users={dataset.num_users} items={dataset.num_items}\n")
-    for u, i, o in dataset.interactions:
-        fp.write(f"{u}\t{i}\t{o}\n")
+    rows = zip(dataset.users.tolist(), dataset.items.tolist(), dataset.orders.tolist())
+    fp.writelines(f"{u}\t{i}\t{o}\n" for u, i, o in rows)
 
 
 def load_dataset(fp: IO[str]) -> InteractionDataset:
-    """Read back the serialization written by dump_dataset."""
+    """Read back the serialization written by dump_dataset; a repeated
+    (user, item) pair is rejected at its line."""
     header = fp.readline().strip()
     try:
         users_part, items_part = header.split()
@@ -219,7 +220,8 @@ def load_dataset(fp: IO[str]) -> InteractionDataset:
         num_items = int(items_part.removeprefix("items="))
     except ValueError as exc:
         raise RatingsParseError(1, f"bad dataset header {header!r}") from exc
-    interactions = []
+    seen: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for line_no, line in enumerate(fp, start=2):
         if not line.strip():
             continue
@@ -229,7 +231,11 @@ def load_dataset(fp: IO[str]) -> InteractionDataset:
             raise RatingsParseError(line_no, f"bad interaction line {line.strip()!r}") from exc
         if not (0 <= u < num_users and 0 <= i < num_items):
             raise RatingsParseError(line_no, f"user {u} or item {i} outside the header's range")
-        interactions.append((u, i, o))
-    if not interactions:
+        if (u, i) in seen:
+            raise RatingsParseError(line_no, f"user {u} already interacted with item {i}")
+        seen.add((u, i))
+        rows += (u, i, o)
+    if not rows:
         raise EmptyDatasetError("dataset file contains no interactions")
-    return InteractionDataset(num_users, num_items, interactions)
+    users, items, orders = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    return InteractionDataset(num_users, num_items, users, items, orders)

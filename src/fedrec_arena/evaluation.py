@@ -7,7 +7,7 @@ attacker, so scoring them would inflate the metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,14 +134,14 @@ def project_2d(rows: np.ndarray) -> np.ndarray:
 def dump_target_updates(
     round_contributions: Sequence[tuple[int, np.ndarray]],
     target_item: int,
-    labels: Mapping[int, str],
+    num_genuine: int,
     round_index: int,
 ) -> UpdateDump:
-    """Export every contributor's raw update for the target item, with a 2-D
-    principal-component projection attached per row."""
+    """Export every contributor's raw update for the target item, with a 2-D principal-component
+    projection attached per row; ids from ``num_genuine`` on are labelled fake."""
     if not round_contributions:
         raise ValueError(f"target item {target_item} received no contributions")
     ordered = sorted(round_contributions, key=lambda c: c[0])
-    rows = [(user, labels[user], vec.copy()) for user, vec in ordered]
+    rows = [(u, "fake" if u >= num_genuine else "genuine", vec.copy()) for u, vec in ordered]
     projection = project_2d(np.stack([vec for _, _, vec in rows]))
     return UpdateDump(round_index, target_item, rows, projection)

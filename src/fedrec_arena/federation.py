@@ -202,23 +202,25 @@ def resolve_dataset(config: DatasetConfig, streams: SeedStreams) -> InteractionD
         return parse_ratings(fp, delimiter=config.format)
 
 
-def default_target_item(dataset: InteractionDataset) -> int:
+def default_target_item(train_counts: np.ndarray) -> int:
     """The least train-interacted item, ties toward the lowest id."""
-    counts = dataset.train_counts()
-    return int(np.lexsort((np.arange(dataset.num_items), counts))[0])
+    return int(np.argmin(train_counts))
 
 
 def build_user_table(
-    dataset: InteractionDataset, dim: int, streams: SeedStreams, fake_embeddings, fake_items
+    split, num_items: int, dim: int, streams: SeedStreams, fake_embeddings, fake_items
 ) -> UserTable:
-    """Every user of the run: the split's genuine users, then the baseline fakes."""
-    genuine = range(dataset.num_users)
+    """Every user of the run: the split's genuine users, then one fake per ``fake_items`` row."""
+    owners, train_items, test_items = split
+    genuine = range(test_items.size)
     embeddings = [streams.user_init(u).uniform(-INIT_SCALE, INIT_SCALE, size=dim) for u in genuine]
+    fakes = np.arange(len(genuine), len(genuine) + len(fake_items))
     return UserTable.build(
         np.concatenate((np.reshape(embeddings, (-1, dim)), fake_embeddings)),
-        dataset.num_items,
-        [dataset.train_set.get(u, []) for u in genuine] + fake_items,
-        [dataset.test_set.get(u, -1) for u in genuine] + [-1] * len(fake_items),
+        num_items,
+        np.concatenate((owners, np.repeat(fakes, fake_items.shape[1]))),
+        np.concatenate((train_items, fake_items.ravel())),
+        np.concatenate((test_items, np.full(fakes.size, -1))),
     )
 
 
@@ -306,17 +308,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     dataset = resolve_dataset(config.dataset, streams)
     # a file dataset's item count is known only once it is loaded
     config.check_item_count(dataset.num_items)
-    leave_one_out_split(dataset)
+    split = leave_one_out_split(dataset)
     embeddings = init_embeddings(dataset.num_items, config.dim, streams)
 
+    train_counts = np.bincount(split[1], minlength=dataset.num_items)
     target_item = config.attack.target_item
     if target_item is None:
-        target_item = default_target_item(dataset)
+        target_item = default_target_item(train_counts)
     attack = AttackRuntime(config.attack, dataset.num_users, target_item)
-    fakes = attack.baseline_fakes(dataset, config.dim, streams.baseline())
-    users = build_user_table(dataset, config.dim, streams, *fakes)
+    fakes = attack.baseline_fakes(train_counts, config.dim, streams.baseline())
+    users = build_user_table(split, dataset.num_items, config.dim, streams, *fakes)
     num_genuine = dataset.num_users
-    del dataset  # no round reads the split: free it before round 1
+    del dataset, split  # no round reads them: free them before round 1
 
     spec = config.aggregator  # an unset krum_m defaults to the true fake count
     if spec.krum_m is None:
@@ -328,8 +331,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     metrics: list[evaluation.MetricsRecord] = []
     ledgers: list[RoundLedger] = []
     dumps: list[evaluation.UpdateDump] = []
-    labels = {u: "genuine" for u in range(num_genuine)}
-    labels.update({f: "fake" for f in attack.fake_ids})
 
     for round_index in range(1, config.rounds + 1):
         attack.observe_broadcast(embeddings)
@@ -347,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if ledger.target_contributions:
                 dumps.append(
                     evaluation.dump_target_updates(
-                        ledger.target_contributions, target_item, labels, round_index
+                        ledger.target_contributions, target_item, num_genuine, round_index
                     )
                 )
             else:

@@ -10,8 +10,7 @@ row per touched item. Every participant of a round steps in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,14 +52,13 @@ class UserTable:
     test_items: np.ndarray  # (users,): the held-out item, or -1 when there is none
 
     @classmethod
-    def build(cls, embeddings, num_items: int, train_lists: Sequence, test_items: Sequence):
-        """The table of users with these train item lists and test items (-1: none)."""
-        lengths = [len(items) for items in train_lists]
-        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        flat = np.fromiter(chain.from_iterable(train_lists), np.int64, offsets[-1])
-        tests = np.array(test_items, dtype=np.int64)
-        interacted = np.zeros((len(lengths), num_items), dtype=bool)
-        interacted[np.repeat(np.arange(len(lengths)), lengths), flat] = True
+    def build(cls, embeddings, num_items: int, owners, train_items, test_items):
+        """The table of ``len(test_items)`` users: train row r is user ``owners[r]``
+        (ascending) on ``train_items[r]``; user u's held-out item is ``test_items[u]`` or -1."""
+        flat, tests = np.asarray(train_items, np.int64), np.asarray(test_items, np.int64)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=tests.size))))
+        interacted = np.zeros((tests.size, num_items), dtype=bool)
+        interacted[owners, flat] = True
         tested = np.flatnonzero(tests >= 0)
         interacted[tested, tests[tested]] = True
         return cls(embeddings, interacted, offsets, flat, tests)

@@ -1,5 +1,10 @@
 """Per-user and per-item reference code that the engine's array paths are tested against.
 
+``leave_one_out_split`` and ``generate_synthetic`` are the per-user split
+(a walk into ``train_set``/``test_set`` dicts) and synthesis (a full
+stable sort of every user's scores) that ``data`` replaced with array
+code; ``dataset``, ``interactions`` and ``as_dicts`` convert between the
+array dataset and split and their tuple and dict forms.
 ``sample_pairs`` and ``local_train`` are the per-user sampling and training
 path the round engine replaced with ``data.draw_round_pairs`` and
 ``model.train_step``; ``user_table`` puts such per-user profiles into the
@@ -11,9 +16,12 @@ item id, passed in by the caller.
 """
 from typing import Optional, Sequence
 
+import math
+
 import numpy as np
 
 from fedrec_arena.aggregation import AggregatorSpec
+from fedrec_arena.data import InteractionDataset, check_synthetic_shape
 from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable, _sigmoid
 
 
@@ -24,6 +32,77 @@ class DegenerateUserError(ValueError):
 class AggregationError(ValueError):
     """Rule preconditions violated for the given inputs."""
 
+
+# ------------------------------------------------------------- datasets
+
+def dataset(num_users: int, num_items: int, rows) -> InteractionDataset:
+    """The array dataset of ``(user, item, order)`` tuples, in list order."""
+    users, items, orders = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    return InteractionDataset(num_users, num_items, users, items, orders)
+
+
+def interactions(ds: InteractionDataset) -> list[tuple[int, int, int]]:
+    """The dataset's ``(user, item, order)`` tuples in ingestion order."""
+    return list(zip(ds.users.tolist(), ds.items.tolist(), ds.orders.tolist()))
+
+
+def as_dicts(split) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """An array split ``(owners, train_items, test_items)`` as the reference's dicts."""
+    owners, train_items, test_items = split
+    train_set: dict[int, list[int]] = {}
+    for user, item in zip(owners.tolist(), train_items.tolist()):
+        train_set.setdefault(user, []).append(item)
+    test_set = {user: item for user, item in enumerate(test_items.tolist()) if item >= 0}
+    return train_set, test_set
+
+
+def leave_one_out_split(ds: InteractionDataset) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Per user, hold out the interaction with the max (order key, item); keep
+    the rest in ingestion order. A single interaction stays in train."""
+    by_user: dict[int, list[tuple[int, int]]] = {}
+    for u, i, o in interactions(ds):
+        by_user.setdefault(u, []).append((i, o))
+    train_set: dict[int, list[int]] = {}
+    test_set: dict[int, int] = {}
+    for user, rows in by_user.items():
+        if len(rows) < 2:
+            train_set[user] = [i for i, _ in rows]
+            continue
+        held = max(rows, key=lambda r: (r[1], r[0]))
+        train_set[user] = [i for i, _ in rows if i != held[0]]
+        test_set[user] = held[0]
+    return train_set, test_set
+
+
+def generate_synthetic(
+    n_users: int,
+    n_items: int,
+    latent_dim: int,
+    interactions_per_user: int,
+    popularity_skew: float,
+    rng: np.random.Generator,
+) -> list[tuple[int, int, int]]:
+    """``data.generate_synthetic``'s interactions, each user's top-k taken by
+    a full stable sort of their scores."""
+    check_synthetic_shape(n_users, n_items, interactions_per_user)
+    user_factors = rng.normal(0.0, 1.0, size=(n_users, latent_dim))
+    item_factors = rng.normal(0.0, 1.0, size=(n_items, latent_dim))
+    popularity_rank = rng.permutation(n_items)
+    popularity_logit = -popularity_skew * 1.5 * np.log(popularity_rank + 1.0)
+    affinity_scale = 1.2 / math.sqrt(latent_dim)
+    rows: list[tuple[int, int, int]] = []
+    for user in range(n_users):
+        score = (
+            affinity_scale * (item_factors @ user_factors[user])
+            + popularity_logit
+            + rng.gumbel(0.0, 1.0, size=n_items)
+        )
+        chosen = np.argsort(-score, kind="stable")[:interactions_per_user]
+        rows.extend((user, int(item), seq) for seq, item in enumerate(chosen))
+    return rows
+
+
+# ------------------------------------------------------------- training
 
 def predict_score(user_embedding: np.ndarray, item_embedding: np.ndarray) -> float:
     """Dot-product preference score."""
@@ -54,7 +133,8 @@ def user_table(profiles: Sequence[UserProfile], num_items: int, dim: int) -> Use
     table = UserTable.build(
         np.array([p.user_embedding for p in profiles], dtype=float).reshape(len(profiles), dim),
         num_items,
-        [p.train_items for p in profiles],
+        [row for row, p in enumerate(profiles) for _ in p.train_items],
+        [item for p in profiles for item in p.train_items],
         [-1 if p.test_item is None else p.test_item for p in profiles],
     )
     table.interacted[:] = False

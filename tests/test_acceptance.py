@@ -409,7 +409,7 @@ def test_criterion_7_exact_capture():
     emb = ItemEmbeddings(round=ATTACK_START, matrix=rng.normal(size=(100, 32)))
     runtime = AttackRuntime(poisonfrs(), num_genuine=200, target_item=4)
     runtime.observe_broadcast(emb)
-    no_users = UserTable.build(np.empty((0, 32)), 100, [], [])
+    no_users = UserTable.build(np.empty((0, 32)), 100, [], [], [])
     after, ledger = run_round(
         emb, no_users, runtime, AggregatorSpec(rule="fedavg"), SeedStreams(0),
         0.05, 1.0, np.zeros_like(emb.matrix),

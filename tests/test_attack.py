@@ -12,7 +12,7 @@ from fedrec_arena.attack import (
     make_baseline_fakes,
     select_fillers,
 )
-from fedrec_arena.data import InteractionDataset, leave_one_out_split
+from fedrec_arena.data import leave_one_out_split
 from fedrec_arena.federation import (
     DatasetConfig,
     ExperimentConfig,
@@ -21,6 +21,8 @@ from fedrec_arena.federation import (
     run_experiment,
 )
 from fedrec_arena.model import ItemEmbeddings
+
+from reference import dataset
 
 
 # ------------------------------------------------------------- popularity
@@ -203,30 +205,33 @@ def test_crafted_block_runs_fake_by_fake_with_each_fakes_own_noise():
 
 # ------------------------------------------------------------- baselines
 
-def toy_dataset():
+def toy_split():
     # item 0 in three users' train sets, item 1 in two, item 2 in one
     interactions = [
         (0, 0, 1), (0, 1, 2), (0, 3, 3),
         (1, 0, 1), (1, 1, 2), (1, 4, 3),
         (2, 0, 1), (2, 2, 2), (2, 5, 3),
     ]
-    ds = InteractionDataset(3, 6, interactions)
-    return leave_one_out_split(ds)
+    return leave_one_out_split(dataset(3, 6, interactions))
+
+
+def toy_counts():
+    return np.bincount(toy_split()[1], minlength=6)
 
 
 def test_popular_fakes_use_highest_train_counts():
-    ds = toy_dataset()
+    counts = toy_counts()
     rng = np.random.default_rng(0)
-    _, fakes = make_baseline_fakes("popular", ds, 2, target_item=5, rng=rng, dim=4)
-    assert fakes[0] == [5, 0, 1]
-    assert set(fakes[0]) == {5, 0, 1}
+    _, fakes = make_baseline_fakes("popular", counts, 2, target_item=5, rng=rng, dim=4)
+    assert fakes[0].tolist() == [5, 0, 1]
+    assert set(fakes[0].tolist()) == {5, 0, 1}
 
 
 def test_random_fakes_reproducible():
-    ds = toy_dataset()
-    _, a = make_baseline_fakes("random", ds, 3, 5, np.random.default_rng(9), dim=4, count=2)
-    _, b = make_baseline_fakes("random", ds, 3, 5, np.random.default_rng(9), dim=4, count=2)
-    assert a == b
+    counts = toy_counts()
+    _, a = make_baseline_fakes("random", counts, 3, 5, np.random.default_rng(9), dim=4, count=2)
+    _, b = make_baseline_fakes("random", counts, 3, 5, np.random.default_rng(9), dim=4, count=2)
+    assert np.array_equal(a, b)
     for fake in a:
         assert 5 in fake
         assert len(fake) == 4
@@ -235,28 +240,29 @@ def test_random_fakes_reproducible():
 def test_bandwagon_ten_percent_popular():
     rng = np.random.default_rng(10)
     interactions = [(u, i, 1) for u in range(30) for i in rng.choice(40, 12, replace=False)]
-    ds = leave_one_out_split(InteractionDataset(30, 40, [(u, int(i), k) for k, (u, i, _) in enumerate(interactions)]))
-    counts = ds.train_counts()
+    rows = [(u, int(i), k) for k, (u, i, _) in enumerate(interactions)]
+    _, train, _ = leave_one_out_split(dataset(30, 40, rows))
+    counts = np.bincount(train, minlength=40)
     top_item = int(np.lexsort((np.arange(40), -counts))[0])
     target = 39 if top_item != 39 else 38
-    _, fakes = make_baseline_fakes("bandwagon", ds, 10, target, np.random.default_rng(3), dim=4)
+    _, fakes = make_baseline_fakes("bandwagon", counts, 10, target, np.random.default_rng(3), dim=4)
     fillers = fakes[0][1:]
     assert len(fillers) == 10
     assert fillers[0] == top_item  # ceil(0.1 * 10) = 1 popular slot
-    assert len(set(fillers)) == 10
+    assert len(set(fillers.tolist())) == 10
 
 
 def test_baseline_filler_count_must_fit_catalog():
-    ds = toy_dataset()
+    counts = toy_counts()
     with pytest.raises(ValueError):
-        make_baseline_fakes("random", ds, 6, 5, np.random.default_rng(0), dim=4)
+        make_baseline_fakes("random", counts, 6, 5, np.random.default_rng(0), dim=4)
 
 
 def test_fake_ids_start_after_genuine():
-    ds = toy_dataset()
+    counts = toy_counts()
     rng = np.random.default_rng(0)
-    embeddings, items = make_baseline_fakes("random", ds, 2, 5, rng, dim=4, count=3)
-    users = build_user_table(ds, 4, SeedStreams(0), embeddings, items)
+    embeddings, items = make_baseline_fakes("random", counts, 2, 5, rng, dim=4, count=3)
+    users = build_user_table(toy_split(), 6, 4, SeedStreams(0), embeddings, items)
     # only the fakes train on the target: user 2 holds it out
     fakes = [p for p in users.profiles(len(users)) if 5 in p.train_items]
     assert [f.user_id for f in fakes] == [3, 4, 5]

@@ -1,8 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from fedrec_arena import (
+    AggregatorSpec, AttackConfig, DatasetConfig, ExperimentConfig, run_experiment,
+)
 from fedrec_arena.cli import ConfigError, main, resolve_config
 
 MINIMAL = {
@@ -219,6 +224,30 @@ def test_run_on_synth_file_dataset(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
+
+
+def test_run_on_synth_file_equals_the_synthetic_run_at_its_seed(tmp_path):
+    """``synth --seed s`` then a file run is the synthetic run at seed s:
+    the file round trip and the split see the same interactions."""
+    ds_path = tmp_path / "ds.tsv"
+    assert main(["synth", "--users", "40", "--items", "30", "--per-user", "6",
+                 "--latent-dim", "8", "--skew", "1.0", "--seed", "5",
+                 "--output", str(ds_path)]) == 0
+    config = ExperimentConfig(
+        dataset=DatasetConfig(users=40, items=30, interactions_per_user=6, latent_dim=8),
+        dim=8, rounds=12, eval_every=4, topk=(3,), seed=5,
+        aggregator=AggregatorSpec(rule="median"),
+        attack=AttackConfig(kind="bandwagon", fake_fraction=0.1, start_round=3, filler_count=4),
+    )
+    synthetic = run_experiment(config)
+    file_dataset = DatasetConfig(kind="file", path=str(ds_path))
+    from_file = run_experiment(replace(config, dataset=file_dataset))
+    assert from_file.target_item == synthetic.target_item
+    assert from_file.metrics == synthetic.metrics
+    assert np.array_equal(from_file.final_embeddings.matrix, synthetic.final_embeddings.matrix)
+    assert len(from_file.profiles) == len(synthetic.profiles) == 40
+    for a, b in zip(from_file.profiles, synthetic.profiles):
+        assert np.array_equal(a.user_embedding, b.user_embedding)
 
 
 # ------------------------------------------------------------- aggcheck

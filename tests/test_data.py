@@ -5,7 +5,6 @@ import pytest
 
 from fedrec_arena.data import (
     EmptyDatasetError,
-    InteractionDataset,
     RatingsParseError,
     draw_round_pairs,
     dump_dataset,
@@ -13,10 +12,12 @@ from fedrec_arena.data import (
     leave_one_out_split,
     load_dataset,
     parse_ratings,
+    top_k,
 )
 from fedrec_arena.model import UserProfile
 
-from reference import user_table
+import reference
+from reference import as_dicts, dataset, interactions, user_table
 
 
 def make_profile(user_id, train, test=None, dim=2):
@@ -38,21 +39,21 @@ def test_parse_comma_reindexes_densely():
     assert ds.num_users == 2
     assert ds.num_items == 2
     # first-appearance order: raw item 5 -> 0, raw item 7 -> 1
-    assert ds.interactions == [(0, 0, 1), (0, 1, 2), (1, 0, 1)]
+    assert interactions(ds) == [(0, 0, 1), (0, 1, 2), (1, 0, 1)]
 
 
 def test_parse_double_colon_and_tab():
     ds = parse_ratings(io.StringIO("10::3::5::100\n11::4::1::200\n"))
     assert ds.num_users == 2 and ds.num_items == 2
     ds = parse_ratings(io.StringIO("a\tb\t2\t7\n"))
-    assert ds.interactions == [(0, 0, 7)]
+    assert interactions(ds) == [(0, 0, 7)]
 
 
 def test_parse_duplicate_user_item_keeps_earliest():
     text = "0,5,4.0,1\n0,5,2.0,9\n1,5,5.0,1\n"
     ds = parse_ratings(io.StringIO(text))
-    assert len(ds.interactions) == 2
-    assert ds.interactions[0] == (0, 0, 1)
+    assert ds.users.size == 2
+    assert interactions(ds)[0] == (0, 0, 1)
 
 
 def test_parse_malformed_line_reports_number():
@@ -75,43 +76,72 @@ def test_parse_empty_input_raises():
 # ---------------------------------------------------------------- split
 
 def test_split_holds_out_max_order_key():
-    ds = InteractionDataset(1, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
-    leave_one_out_split(ds)
-    assert ds.train_set[0] == [0, 1]
-    assert ds.test_set[0] == 2
+    ds = dataset(1, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
+    train_set, test_set = as_dicts(leave_one_out_split(ds))
+    assert train_set[0] == [0, 1]
+    assert test_set[0] == 2
 
 
 def test_split_single_interaction_user_keeps_train_only():
-    ds = InteractionDataset(1, 2, [(0, 0, 1)])
-    leave_one_out_split(ds)
-    assert ds.train_set[0] == [0]
-    assert 0 not in ds.test_set
+    ds = dataset(1, 2, [(0, 0, 1)])
+    train_set, test_set = as_dicts(leave_one_out_split(ds))
+    assert train_set[0] == [0]
+    assert 0 not in test_set
 
 
 def test_split_order_key_tie_breaks_to_larger_item():
-    ds = InteractionDataset(1, 9, [(0, 3, 5), (0, 7, 5)])
-    leave_one_out_split(ds)
-    assert ds.test_set[0] == 7
-    assert ds.train_set[0] == [3]
+    ds = dataset(1, 9, [(0, 3, 5), (0, 7, 5)])
+    train_set, test_set = as_dicts(leave_one_out_split(ds))
+    assert test_set[0] == 7
+    assert train_set[0] == [3]
 
 
 def test_split_accounting_invariant():
     rng = np.random.default_rng(11)
     for _ in range(20):
         ds = generate_synthetic(12, 30, 4, rng.integers(2, 8), 1.0, rng)
-        leave_one_out_split(ds)
-        total = sum(len(v) for v in ds.train_set.values()) + len(ds.test_set)
-        assert total == len(ds.interactions)
+        train_set, test_set = as_dicts(leave_one_out_split(ds))
+        total = sum(len(v) for v in train_set.values()) + len(test_set)
+        assert total == ds.users.size
 
 
 def test_split_held_out_item_has_maximal_order_key():
     rng = np.random.default_rng(12)
     ds = generate_synthetic(25, 40, 3, 6, 1.0, rng)
-    leave_one_out_split(ds)
-    by_user = ds.interactions_by_user()
-    for user, test_item in ds.test_set.items():
-        keys = dict(by_user[user])
+    _, test_set = as_dicts(leave_one_out_split(ds))
+    for user, test_item in test_set.items():
+        keys = {i: o for u, i, o in interactions(ds) if u == user}
         assert keys[test_item] == max(keys.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_matches_reference(seed):
+    """Rows in shuffled user order, order keys with ties, users with one
+    interaction and users with none: the array split equals the dict walk."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (u, int(i), int(o))
+        for u in rng.permutation(20)
+        for i, o in zip(rng.choice(15, rng.integers(0, 6), replace=False), rng.integers(0, 4, 6))
+    ]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    ds = dataset(22, 15, rows)
+    assert as_dicts(leave_one_out_split(ds)) == reference.leave_one_out_split(ds)
+
+
+def test_split_edge_cases_match_reference():
+    rows = [
+        (3, 4, 2), (3, 1, 2),  # order-key tie: the larger item is held out
+        (1, 0, 9),  # a single interaction stays in train
+        (0, 2, 5), (0, 5, 1), (0, 3, 7),  # arrives after users 3 and 1
+        (3, 0, 1),
+    ]  # user 2 of the header has no interactions
+    ds = dataset(4, 6, rows)
+    owners, train, test = leave_one_out_split(ds)
+    assert owners.tolist() == [0, 0, 1, 3, 3]
+    assert train.tolist() == [2, 5, 0, 1, 0]
+    assert test.tolist() == [3, -1, -1, 4]
+    assert as_dicts((owners, train, test)) == reference.leave_one_out_split(ds)
 
 
 # ---------------------------------------------------------------- pair sampling
@@ -210,12 +240,13 @@ def test_draw_round_pairs_reads_only_the_given_rows():
 
 
 def test_train_counts_count_every_train_interaction():
-    ds = leave_one_out_split(generate_synthetic(30, 20, 3, 5, 1.0, np.random.default_rng(8)))
+    ds = generate_synthetic(30, 20, 3, 5, 1.0, np.random.default_rng(8))
+    _, train, _ = leave_one_out_split(ds)
     counts = np.zeros(ds.num_items, dtype=np.int64)
-    for items in ds.train_set.values():
+    for items in reference.leave_one_out_split(ds)[0].values():
         for item in items:
             counts[item] += 1
-    assert ds.train_counts().tolist() == counts.tolist()
+    assert np.bincount(train, minlength=ds.num_items).tolist() == counts.tolist()
 
 
 # ---------------------------------------------------------------- synthesis
@@ -224,7 +255,7 @@ def test_synthetic_popularity_concentration():
     # oracle: count interactions per item in the generated output
     ds = generate_synthetic(200, 100, 8, 20, 1.0, np.random.default_rng(7))
     counts = np.zeros(100, dtype=int)
-    for _, item, _ in ds.interactions:
+    for _, item, _ in interactions(ds):
         counts[item] += 1
     top10_share = np.sort(counts)[::-1][:10].sum() / counts.sum()
     assert top10_share > 0.30
@@ -232,18 +263,39 @@ def test_synthetic_popularity_concentration():
 
 def test_synthetic_size_contract():
     ds = generate_synthetic(2, 3, 1, 2, 0.0, np.random.default_rng(1))
-    assert len(ds.interactions) == 4
-    assert all(0 <= u < 2 and 0 <= i < 3 for u, i, _ in ds.interactions)
+    assert ds.users.size == 4
+    assert all(0 <= u < 2 and 0 <= i < 3 for u, i, _ in interactions(ds))
     # order keys are the per-user sampling sequence
     for user in range(2):
-        keys = [o for u, _, o in ds.interactions if u == user]
+        keys = [o for u, _, o in interactions(ds) if u == user]
         assert keys == [0, 1]
 
 
 def test_synthetic_deterministic():
     a = generate_synthetic(30, 40, 4, 5, 1.0, np.random.default_rng(123))
     b = generate_synthetic(30, 40, 4, 5, 1.0, np.random.default_rng(123))
-    assert a.interactions == b.interactions
+    assert interactions(a) == interactions(b)
+
+
+@pytest.mark.parametrize(
+    "users,items,per_user,seed",
+    [(40, 30, 6, 0), (25, 7, 6, 1), (60, 100, 20, 2), (10, 3, 2, 3), (30, 12, 11, 4)],
+)
+def test_synthetic_matches_full_sort_reference(users, items, per_user, seed):
+    ds = generate_synthetic(users, items, 4, per_user, 1.0, np.random.default_rng(seed))
+    expected = reference.generate_synthetic(
+        users, items, 4, per_user, 1.0, np.random.default_rng(seed)
+    )
+    assert interactions(ds) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8])
+def test_top_k_breaks_ties_at_the_cut_to_the_lower_id(k):
+    score = np.array([0.5, 2.0, 0.5, -1.0, 2.0, 0.5, 0.0, 0.5])
+    assert top_k(score, k).tolist() == np.argsort(-score, kind="stable")[:k].tolist()
+    rng = np.random.default_rng(k)
+    tied = rng.integers(0, 3, size=50).astype(float)
+    assert top_k(tied, k).tolist() == np.argsort(-tied, kind="stable")[:k].tolist()
 
 
 @pytest.mark.parametrize(
@@ -265,7 +317,7 @@ def test_dataset_round_trip_identity():
     back = load_dataset(buf)
     assert back.num_users == ds.num_users
     assert back.num_items == ds.num_items
-    assert back.interactions == ds.interactions
+    assert interactions(back) == interactions(ds)
     # serializing again gives identical bytes
     buf2 = io.StringIO()
     dump_dataset(back, buf2)
@@ -286,3 +338,11 @@ def test_load_rejects_ids_outside_header(lines, line_no):
     with pytest.raises(RatingsParseError) as err:
         load_dataset(io.StringIO(text))
     assert err.value.line_no == line_no
+
+
+def test_load_rejects_a_repeated_user_item_line():
+    text = "users=3 items=4\n0\t2\t1\n0\t1\t3\n\n0\t2\t5\n"
+    with pytest.raises(RatingsParseError) as err:
+        load_dataset(io.StringIO(text))
+    assert err.value.line_no == 5
+    assert "item 2" in str(err.value)

@@ -350,8 +350,7 @@ def test_dump_orders_rows_and_labels():
         (1, np.array([0.0, 1.0])),
         (3, np.array([1.0, 1.0])),
     ]
-    labels = {1: "genuine", 3: "genuine", 5: "fake"}
-    dump = dump_target_updates(contributions, target_item=7, labels=labels, round_index=42)
+    dump = dump_target_updates(contributions, target_item=7, num_genuine=4, round_index=42)
     assert dump.item == 7 and dump.round == 42
     assert [u for u, _, _ in dump.rows] == [1, 3, 5]
     assert [label for _, label, _ in dump.rows] == ["genuine", "genuine", "fake"]
@@ -360,4 +359,4 @@ def test_dump_orders_rows_and_labels():
 
 def test_dump_requires_contributions():
     with pytest.raises(ValueError):
-        dump_target_updates([], 0, {}, 1)
+        dump_target_updates([], 0, 0, 1)

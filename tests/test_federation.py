@@ -23,7 +23,9 @@ from fedrec_arena.federation import (
 )
 from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable
 
-from reference import DegenerateUserError, local_train, sample_pairs, user_table
+from reference import (
+    DegenerateUserError, as_dicts, local_train, sample_pairs, user_table,
+)
 
 
 def small_config(**overrides):
@@ -54,7 +56,9 @@ def step(emb, users, attack, spec, streams, participation=1.0):
 
 
 def genuine_table(dataset, dim, streams):
-    return build_user_table(dataset, dim, streams, np.empty((0, dim)), [])
+    no_fakes = np.empty((0, 0), dtype=np.int64)
+    split = leave_one_out_split(dataset)
+    return build_user_table(split, dataset.num_items, dim, streams, np.empty((0, dim)), no_fakes)
 
 
 def first_rows(users, count):
@@ -119,7 +123,6 @@ def test_untouched_items_carry_over_bit_identical():
     config = small_config()
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
-    leave_one_out_split(dataset)
     users = first_rows(genuine_table(dataset, config.dim, streams), 5)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     before = emb.matrix.copy()
@@ -136,7 +139,6 @@ def test_participation_accounting_no_attack():
     config = small_config()
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
-    leave_one_out_split(dataset)
     users = genuine_table(dataset, config.dim, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     _, ledger = step(emb, users, no_attack_runtime(len(users)), config.aggregator, streams)
@@ -149,13 +151,15 @@ def test_participation_accounting_no_attack():
 
 def _round_inputs(config, reverse=False):
     """The genuine users' table, the initial item embeddings and the streams;
-    with ``reverse``, the split lists its users in reverse id order."""
+    with ``reverse``, the users' rows reach the split in reverse id order."""
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
-    leave_one_out_split(dataset)
     if reverse:
-        dataset.train_set = dict(reversed(dataset.train_set.items()))
-        dataset.test_set = dict(reversed(dataset.test_set.items()))
+        rows = np.argsort(-dataset.users, kind="stable")  # each user's rows keep their order
+        dataset = replace(
+            dataset, users=dataset.users[rows], items=dataset.items[rows],
+            orders=dataset.orders[rows],
+        )
     users = genuine_table(dataset, config.dim, streams)
     return users, init_embeddings(dataset.num_items, config.dim, streams), streams
 
@@ -217,7 +221,7 @@ def test_round_builds_no_array_the_size_of_its_upload_table():
         aggregator=AggregatorSpec(rule="median"),
     )
     streams = SeedStreams(config.seed)
-    dataset = leave_one_out_split(resolve_dataset(config.dataset, streams))
+    dataset = resolve_dataset(config.dataset, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     users = genuine_table(dataset, config.dim, streams)
     tracemalloc.start()
@@ -242,13 +246,16 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
     attack = AttackConfig(kind=kind, fake_fraction=0.1, start_round=1, filler_count=3)
     config = small_config(participation=participation, attack=attack)
     streams = SeedStreams(config.seed)
-    dataset = leave_one_out_split(resolve_dataset(config.dataset, streams))
+    dataset = resolve_dataset(config.dataset, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     num_items = emb.num_items
     runtime = AttackRuntime(attack, dataset.num_users, target_item=0)
-    fakes = runtime.baseline_fakes(dataset, config.dim, streams.baseline())
-    dataset.train_set[1] = dataset.train_set[1][:1]
-    users = build_user_table(dataset, config.dim, streams, *fakes)
+    owners, train, test = leave_one_out_split(dataset)
+    counts = np.bincount(train, minlength=num_items)
+    fakes = runtime.baseline_fakes(counts, config.dim, streams.baseline())
+    drop = np.flatnonzero(owners == 1)[1:]  # user 1 keeps its first train item only
+    split = (np.delete(owners, drop), np.delete(train, drop), test)
+    users = build_user_table(split, num_items, config.dim, streams, *fakes)
     users.interacted[0] = True  # no candidate negative
 
     draws, blocks = [], []
@@ -377,12 +384,13 @@ def test_result_profiles_round_trip_the_split(tmp_path, monkeypatch):
 
     monkeypatch.setattr(federation, "run_round", spy_round)
     result = run_experiment(config)
-    dataset = leave_one_out_split(resolve_dataset(config.dataset, SeedStreams(config.seed)))
+    dataset = resolve_dataset(config.dataset, SeedStreams(config.seed))
+    train_set, test_set = as_dicts(leave_one_out_split(dataset))
     final = tables[-1]
     assert len(final) == dataset.num_users + result.num_fakes == 7
     assert [p.user_id for p in result.profiles] == list(range(dataset.num_users))
     for p in result.profiles:
-        train, test = dataset.train_set[p.user_id], dataset.test_set.get(p.user_id)
+        train, test = train_set[p.user_id], test_set.get(p.user_id)
         assert p.train_items == train
         assert p.interacted == set(train) | ({test} if test is not None else set())
         assert p.test_item == test
@@ -408,9 +416,9 @@ def test_default_target_is_least_interacted():
     config = small_config()
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
-    leave_one_out_split(dataset)
-    counts = dataset.train_counts()
-    target = default_target_item(dataset)
+    _, train, _ = leave_one_out_split(dataset)
+    counts = np.bincount(train, minlength=dataset.num_items)
+    target = default_target_item(counts)
     assert counts[target] == counts.min()
     assert all(counts[i] > counts[target] for i in range(target))
 
