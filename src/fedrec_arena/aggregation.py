@@ -31,7 +31,7 @@ class AggregatorSpec:
 
     def __post_init__(self):
         if self.rule not in RULES:
-            raise ValueError(f"unknown aggregation rule {self.rule!r}")
+            raise ValueError(f"unknown aggregator.rule {self.rule!r}")
         # each of these fails the rule at every contributor count
         if not self.clip_bound > 0:
             raise ValueError(f"aggregator clip_bound must be > 0, got {self.clip_bound}")

@@ -45,9 +45,14 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.fake_fraction < 0:
-            raise ValueError("fake_fraction must be >= 0")
+            raise ValueError(f"unknown attack.kind {self.kind!r}")
+        # written so that NaN fails each check too
+        if not 0 <= self.fake_fraction < math.inf:
+            raise ValueError(f"attack fake_fraction must lie in [0, inf), got {self.fake_fraction}")
+        if not self.scale > 0:
+            raise ValueError(f"attack lambda must be > 0, got {self.scale}")
+        if not self.noise_std >= 0:
+            raise ValueError(f"attack noise_std must be >= 0, got {self.noise_std}")
 
     def num_fakes(self, num_genuine: int) -> int:
         if self.kind == "none" or self.fake_fraction == 0:

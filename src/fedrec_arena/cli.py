@@ -5,6 +5,10 @@ artifacts), ``synth`` (generate a synthetic dataset file), ``aggcheck``
 (aggregate a file of vectors under one rule). Exit codes: 0 success,
 1 runtime failure, 2 usage or config error. The environment variable
 FEDREC_ARENA_LOG selects the log level.
+
+A config's keys, types and defaults, and the synth and aggcheck flag defaults,
+are the config dataclasses' fields; ``LAYOUT`` places ``ExperimentConfig``'s own.
+Nothing is cast: a JSON value that its field's annotation does not take exits 2.
 """
 from __future__ import annotations
 
@@ -13,21 +17,15 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .aggregation import RULES, AggregatorSpec, aggregate_rows, degenerate_reason
-from .attack import ATTACK_KINDS, AttackConfig
 from .data import generate_synthetic, dump_dataset
-from .federation import (
-    DatasetConfig,
-    ExperimentConfig,
-    SeedStreams,
-    run_experiment,
-)
+from .federation import ExperimentConfig, SeedStreams, run_experiment
 
 log = logging.getLogger("fedrec_arena.cli")
 
@@ -36,114 +34,105 @@ class ConfigError(ValueError):
     """Invalid config document; message names the offending field path."""
 
 
-# The single source of every default is the dataclasses themselves: the
-# dataset, aggregator and attack sections are their fields, by name.
-_EXPERIMENT = ExperimentConfig()
-_RENAMED = {"scale": "lambda"}
-
-
-def _section(config) -> dict[str, Any]:
-    return {_RENAMED.get(f.name, f.name): getattr(config, f.name) for f in fields(config)}
-
-
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "dataset": _section(DatasetConfig()),
-    "model": {
-        "dim": _EXPERIMENT.dim,
-        "learning_rate": _EXPERIMENT.learning_rate,
-    },
-    "federation": {
-        "rounds": _EXPERIMENT.rounds,
-        "participation": _EXPERIMENT.participation,
-    },
-    "aggregator": _section(AggregatorSpec()),
-    "attack": _section(AttackConfig()),
-    "eval": {
-        "every": _EXPERIMENT.eval_every,
-        "topk": list(_EXPERIMENT.topk),
-        "dump_round": _EXPERIMENT.dump_round,
-    },
+# Where a document holds each of ExperimentConfig's own fields, and the renamed
+# attack field; section fields keep their names. threads, not placed, has no key.
+LAYOUT = {
+    "dim": "model.dim", "learning_rate": "model.learning_rate",
+    "rounds": "federation.rounds", "participation": "federation.participation",
+    "eval_every": "eval.every", "topk": "eval.topk", "dump_round": "eval.dump_round",
+    "seed": "seed", "attack.scale": "attack.lambda",
 }
-TOP_LEVEL_DEFAULTS: dict[str, Any] = {
-    "seed": _EXPERIMENT.seed,
+_DEFAULT = ExperimentConfig()
+
+
+def _leaves(config, prefix: str = ""):
+    """(dotted field path, type annotation, default) of every non-section field."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name], value
+
+
+# document path -> (ExperimentConfig field path, type annotation, default)
+SCHEMA = {
+    LAYOUT.get(name, name): (name, hint, default)
+    for name, hint, default in _leaves(_DEFAULT)
+    if "." in name or name in LAYOUT
 }
+
+
+def _nest(flat: dict[str, Any]) -> dict[str, Any]:
+    """``{"a.b": x, "c": y}`` -> ``{"a": {"b": x}, "c": y}``."""
+    nested: dict[str, Any] = {}
+    for path, value in flat.items():
+        *section, key = path.split(".")
+        (nested.setdefault(section[0], {}) if section else nested)[key] = value
+    return nested
+
+
+# every default, as a document: summary.json echoes it with the given values over it
+DEFAULTS = _nest({p: list(d) if isinstance(d, tuple) else d for p, (_, _, d) in SCHEMA.items()})
+_EXPECTED = {
+    int: "an integer", float: "a number", str: "a string", tuple[int, ...]: "a list of integers",
+}
+
+
+def _is(value: Any, hint: Any) -> bool:
+    """Whether ``value`` is a JSON value of type ``hint``; a bool is no integer or number."""
+    if hint == tuple[int, ...]:
+        return isinstance(value, list) and all(_is(v, int) for v in value)
+    kinds = {int: int, float: (int, float), str: str}[hint]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _typed(path: str, value: Any, hint: Any) -> Any:
+    """``value`` as a field annotated ``hint`` takes it, or a ConfigError naming ``path``."""
+    args = get_args(hint)
+    if type(None) in args:  # Optional[X] also takes null
+        if value is None:
+            return None
+        (hint,) = set(args) - {type(None)}
+    if not _is(value, hint):
+        raise ConfigError(f"{path}: expected {_EXPECTED[hint]}, got {json.dumps(value)}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 def resolve_config(document: dict) -> dict:
     """Fill defaults and reject unknown keys; returns the full config echo."""
     if not isinstance(document, dict):
         raise ConfigError("config root must be an object")
-    resolved: dict[str, Any] = {}
-    for section, defaults in DEFAULTS.items():
-        given = document.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"{section}: must be an object")
-        for key in given:
-            if key not in defaults:
-                raise ConfigError(f"{section}.{key}: unknown key")
-        resolved[section] = {**defaults, **given}
-    for key, value in TOP_LEVEL_DEFAULTS.items():
-        resolved[key] = document.get(key, value)
-    known = set(DEFAULTS) | set(TOP_LEVEL_DEFAULTS)
     for key in document:
-        if key not in known:
+        if key not in DEFAULTS:
             raise ConfigError(f"{key}: unknown key")
+    resolved: dict[str, Any] = {}
+    for key, default in DEFAULTS.items():
+        given = document.get(key, default)
+        if isinstance(default, dict):
+            if not isinstance(given, dict):
+                raise ConfigError(f"{key}: must be an object")
+            for sub in given:
+                if sub not in default:
+                    raise ConfigError(f"{key}.{sub}: unknown key")
+            given = {**default, **given}
+        resolved[key] = given
     return resolved
 
 
 def build_experiment(resolved: dict) -> ExperimentConfig:
     """Turn a resolved config document into an ExperimentConfig."""
-    ds = resolved["dataset"]
-    agg = resolved["aggregator"]
-    atk = resolved["attack"]
+    values = {}
+    for path, (name, hint, _) in SCHEMA.items():
+        section, _, key = path.rpartition(".")
+        values[name] = _typed(path, (resolved[section] if section else resolved)[key], hint)
     try:
-        dataset = DatasetConfig(
-            kind=ds["kind"],
-            users=int(ds["users"]),
-            items=int(ds["items"]),
-            latent_dim=int(ds["latent_dim"]),
-            interactions_per_user=int(ds["interactions_per_user"]),
-            popularity_skew=float(ds["popularity_skew"]),
-            path=ds["path"],
-            format=ds["format"],
-        )
-        if agg["rule"] not in RULES:
-            raise ConfigError(f"aggregator.rule: unknown rule {agg['rule']!r}")
-        aggregator = AggregatorSpec(
-            rule=agg["rule"],
-            trim_beta=None if agg["trim_beta"] is None else int(agg["trim_beta"]),
-            krum_m=None if agg["krum_m"] is None else int(agg["krum_m"]),
-            clip_bound=float(agg["clip_bound"]),
-            hics_z=int(agg["hics_z"]),
-        )
-        if atk["kind"] not in ATTACK_KINDS:
-            raise ConfigError(f"attack.kind: unknown kind {atk['kind']!r}")
-        attack = AttackConfig(
-            kind=atk["kind"],
-            fake_fraction=float(atk["fake_fraction"]),
-            start_round=int(atk["start_round"]),
-            filler_count=int(atk["filler_count"]),
-            scale=float(atk["lambda"]),
-            popular_count=int(atk["popular_count"]),
-            noise_std=float(atk["noise_std"]),
-            target_item=atk["target_item"],
-        )
-        config = ExperimentConfig(
-            dataset=dataset,
-            dim=int(resolved["model"]["dim"]),
-            learning_rate=float(resolved["model"]["learning_rate"]),
-            rounds=int(resolved["federation"]["rounds"]),
-            aggregator=aggregator,
-            attack=attack,
-            eval_every=int(resolved["eval"]["every"]),
-            topk=tuple(int(k) for k in resolved["eval"]["topk"]),
-            seed=int(resolved["seed"]),
-            participation=float(resolved["federation"]["participation"]),
-            dump_round=resolved["eval"]["dump_round"],
-        )
+        config = ExperimentConfig(**{
+            key: type(getattr(_DEFAULT, key))(**value) if isinstance(value, dict) else value
+            for key, value in _nest(values).items()
+        })
         config.validate()
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return config
@@ -326,12 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.set_defaults(func=cmd_run)
 
+    dataset, spec = _DEFAULT.dataset, _DEFAULT.aggregator
     synth_p = sub.add_parser("synth", help="generate a synthetic dataset file")
     synth_p.add_argument("--users", type=int, required=True)
     synth_p.add_argument("--items", type=int, required=True)
-    synth_p.add_argument("--latent-dim", type=int, default=8)
-    synth_p.add_argument("--per-user", type=int, default=20)
-    synth_p.add_argument("--skew", type=float, default=1.0)
+    synth_p.add_argument("--latent-dim", type=int, default=dataset.latent_dim)
+    synth_p.add_argument("--per-user", type=int, default=dataset.interactions_per_user)
+    synth_p.add_argument("--skew", type=float, default=dataset.popularity_skew)
     synth_p.add_argument("--seed", type=int, default=0)
     synth_p.add_argument("--output", required=True)
     synth_p.set_defaults(func=cmd_synth)
@@ -341,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     agg_p.add_argument("input", help="file with one comma-separated vector per line")
     agg_p.add_argument("--beta", type=int, default=None, help="trimmed-mean trim count")
     agg_p.add_argument("--m", type=int, default=0, help="krum assumed malicious count")
-    agg_p.add_argument("--bound", type=float, default=3.0, help="clip norm bound")
-    agg_p.add_argument("--z", type=int, default=8, help="hics kept coordinates")
+    agg_p.add_argument("--bound", type=float, default=spec.clip_bound, help="clip norm bound")
+    agg_p.add_argument("--z", type=int, default=spec.hics_z, help="hics kept coordinates")
     agg_p.set_defaults(func=cmd_aggcheck)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -52,11 +52,11 @@ def _detect_delimiter(line: str) -> str:
     raise ValueError("no known delimiter ('::', tab, comma) found")
 
 
-def parse_ratings(stream: Iterable[str], delimiter: Optional[str] = None) -> InteractionDataset:
+def parse_ratings(stream: Iterable[str]) -> InteractionDataset:
     """Parse a rating file into a densely re-indexed dataset.
 
     Each record is ``user<delim>item<delim>rating<delim>order_key``; the
-    delimiter is auto-detected among '::', tab and comma unless given.
+    delimiter is auto-detected among '::', tab and comma on the first record.
     Ratings are discarded. Duplicate (user, item) pairs keep the earliest
     record. Raw ids are remapped to 0..n-1 in first-appearance order.
     """
@@ -64,7 +64,7 @@ def parse_ratings(stream: Iterable[str], delimiter: Optional[str] = None) -> Int
     item_ids: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
     rows: list[int] = []
-
+    delimiter = None
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():

@@ -16,6 +16,7 @@ results are bit-identical for a fixed seed.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -86,13 +87,14 @@ class DatasetConfig:
     popularity_skew: float = 1.0
     # file parameters
     path: Optional[str] = None
-    format: Optional[str] = None  # explicit delimiter for raw rating files
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "file"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ValueError("dataset kind 'file' requires a path")
+        if not math.isfinite(self.popularity_skew):
+            raise ValueError(f"dataset popularity_skew must be finite, got {self.popularity_skew}")
 
 
 @dataclass
@@ -115,7 +117,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
@@ -199,7 +201,7 @@ def resolve_dataset(config: DatasetConfig, streams: SeedStreams) -> InteractionD
         fp.seek(0)
         if first.startswith("users="):
             return load_dataset(fp)
-        return parse_ratings(fp, delimiter=config.format)
+        return parse_ratings(fp)
 
 
 def default_target_item(train_counts: np.ndarray) -> int:

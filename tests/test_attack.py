@@ -268,6 +268,20 @@ def test_fake_ids_start_after_genuine():
     assert [f.user_id for f in fakes] == [3, 4, 5]
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("scale", 0.0, "lambda"), ("scale", -1.0, "lambda"), ("scale", float("nan"), "lambda"),
+        ("noise_std", -0.5, "noise_std"), ("noise_std", float("nan"), "noise_std"),
+        ("fake_fraction", float("nan"), "fake_fraction"), ("fake_fraction", float("inf"), "fake_fraction"),
+    ],
+)
+def test_attack_config_rejects_a_value_that_cannot_run(field, value, name):
+    with pytest.raises(ValueError, match=f"attack {name}"):
+        AttackConfig(**{"kind": "poisonfrs", "fake_fraction": 0.1, field: value})
+    AttackConfig(kind="poisonfrs", fake_fraction=0.1, scale=1e-9, noise_std=0.0)  # the bounds pass
+
+
 # ------------------------------------------------------------- knowledge firewall
 
 def test_poisonfrs_path_signature_firewall():

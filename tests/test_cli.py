@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from fedrec_arena import (
     AggregatorSpec, AttackConfig, DatasetConfig, ExperimentConfig, run_experiment,
 )
-from fedrec_arena.cli import ConfigError, main, resolve_config
+from fedrec_arena.cli import ConfigError, build_experiment, main, resolve_config
 
 MINIMAL = {
     "dataset": {"users": 30, "items": 25, "interactions_per_user": 5, "latent_dim": 3},
@@ -50,6 +50,112 @@ def test_unknown_key_names_field_path():
         resolve_config({"spelling": {}})
     with pytest.raises(ConfigError, match="threads"):
         resolve_config({"threads": 1})
+
+
+def test_dataset_format_is_an_unknown_key():
+    with pytest.raises(ConfigError, match=r"dataset\.format: unknown key"):
+        resolve_config({"dataset": {"format": None}})
+
+
+# every key set away from its default; kind "file" skips the synthetic shape checks
+EVERY_KEY = {
+    "dataset": {"kind": "file", "users": 31, "items": 26, "latent_dim": 4,
+                "interactions_per_user": 6, "popularity_skew": 0.5, "path": "ratings.tsv"},
+    "model": {"dim": 16, "learning_rate": 0.1},
+    "federation": {"rounds": 40, "participation": 0.5},
+    "aggregator": {"rule": "hics", "trim_beta": 2, "krum_m": 3, "clip_bound": 2.5, "hics_z": 4},
+    "attack": {"kind": "poisonfrs", "fake_fraction": 0.2, "start_round": 7, "filler_count": 3,
+               "lambda": 4.0, "popular_count": 2, "noise_std": 0.1, "target_item": 5},
+    "eval": {"every": 4, "topk": [3, 7], "dump_round": 9},
+    "seed": 11,
+}
+
+
+def dotted_keys(document):
+    keys = set()
+    for key, value in document.items():
+        keys |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+    return keys
+
+
+def test_every_key_reaches_the_config():
+    expected = ExperimentConfig(
+        dataset=DatasetConfig(kind="file", users=31, items=26, latent_dim=4,
+                              interactions_per_user=6, popularity_skew=0.5, path="ratings.tsv"),
+        dim=16, learning_rate=0.1, rounds=40, participation=0.5,
+        aggregator=AggregatorSpec(rule="hics", trim_beta=2, krum_m=3, clip_bound=2.5, hics_z=4),
+        attack=AttackConfig(kind="poisonfrs", fake_fraction=0.2, start_round=7, filler_count=3,
+                            scale=4.0, popular_count=2, noise_std=0.1, target_item=5),
+        eval_every=4, topk=(3, 7), dump_round=9, seed=11,
+    )
+    assert build_experiment(resolve_config(EVERY_KEY)) == expected
+    # the document names every key, and each differs from its field's default
+    assert dotted_keys(EVERY_KEY) == dotted_keys(resolve_config({}))
+    default = ExperimentConfig()
+    for section in ("dataset", "aggregator", "attack"):
+        for f in fields(getattr(default, section)):
+            given, unset = (getattr(getattr(c, section), f.name) for c in (expected, default))
+            assert given != unset, f"{section}.{f.name}"
+    for f in fields(default):
+        if f.name not in ("dataset", "aggregator", "attack", "threads"):
+            assert getattr(expected, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("dataset", "users", 30.9), ("dataset", "items", "20"), ("federation", "rounds", True),
+        ("eval", "topk", [5.5]), (None, "seed", 1.5), ("model", "learning_rate", "0.1"),
+        ("aggregator", "trim_beta", False), ("attack", "target_item", 2.0), ("dataset", "kind", 1),
+        ("eval", "topk", 5), ("dataset", "path", 5),
+    ],
+)
+def test_run_wrong_json_type_exits_2(tmp_path, capsys, section, key, value):
+    document = json.loads(json.dumps(MINIMAL))
+    if section:
+        document.setdefault(section, {})[key] = value
+    else:
+        document[key] = value
+    config = write_config(tmp_path, document)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    path = f"{section}.{key}" if section else key
+    assert f"error: {path}: expected " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_integer_for_a_float_field_runs_as_the_float(tmp_path):
+    outs = []
+    for bound in (3, 3.0):
+        config = write_config(tmp_path, dict(MINIMAL, aggregator={"rule": "clip", "clip_bound": bound}))
+        outs.append(tmp_path / f"o{bound!r}")
+        assert main(["run", "--config", str(config), "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("attack", "lambda", 0, "attack lambda"), ("attack", "lambda", -1, "attack lambda"),
+        ("attack", "noise_std", -0.5, "attack noise_std"),
+        ("model", "learning_rate", math.nan, "learning_rate"),
+        ("attack", "fake_fraction", math.nan, "attack fake_fraction"),
+        ("dataset", "popularity_skew", math.nan, "dataset popularity_skew"),
+        ("attack", "lambda", math.nan, "attack lambda"),
+        ("attack", "noise_std", math.nan, "attack noise_std"),
+        ("aggregator", "clip_bound", math.nan, "aggregator clip_bound"),
+        ("federation", "participation", math.nan, "participation"),
+    ],
+)
+def test_run_value_that_cannot_run_exits_2(tmp_path, capsys, section, key, value, message):
+    attack = {"kind": "poisonfrs", "fake_fraction": 0.1, "start_round": 5, "filler_count": 2}
+    document = dict(MINIMAL, attack=attack)
+    document[section] = {**document.get(section, {}), key: value}
+    config = write_config(tmp_path, document)  # json writes nan as NaN, which json reads back
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_minimal_config_row_count(tmp_path):
