@@ -49,10 +49,10 @@ class AttackConfig:
         # written so that NaN fails each check too
         if not 0 <= self.fake_fraction < math.inf:
             raise ValueError(f"attack fake_fraction must lie in [0, inf), got {self.fake_fraction}")
-        if not self.scale > 0:
-            raise ValueError(f"attack lambda must be > 0, got {self.scale}")
-        if not self.noise_std >= 0:
-            raise ValueError(f"attack noise_std must be >= 0, got {self.noise_std}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"attack lambda must lie in (0, inf), got {self.scale}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"attack noise_std must lie in [0, inf), got {self.noise_std}")
 
     def num_fakes(self, num_genuine: int) -> int:
         if self.kind == "none" or self.fake_fraction == 0:

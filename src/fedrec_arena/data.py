@@ -147,11 +147,13 @@ def draw_round_pairs(
     return owner, pos, neg
 
 
-def check_synthetic_shape(n_users: int, n_items: int, interactions_per_user: int) -> None:
+def check_synthetic_shape(n_users: int, n_items: int, latent_dim: int, per_user: int) -> None:
     """Reject a synthetic shape that generate_synthetic cannot draw."""
-    if interactions_per_user < 2:
+    if latent_dim < 1:
+        raise ValueError("latent_dim must be >= 1")
+    if per_user < 2:
         raise ValueError("interactions_per_user must be >= 2")
-    if n_items <= interactions_per_user:
+    if n_items <= per_user:
         raise ValueError("n_items must exceed interactions_per_user")
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -173,7 +175,7 @@ def generate_synthetic(
     exp(affinity) * (popularity_rank + 1) ** -popularity_skew.
     The per-user sampling sequence is the order key.
     """
-    check_synthetic_shape(n_users, n_items, interactions_per_user)
+    check_synthetic_shape(n_users, n_items, latent_dim, interactions_per_user)
 
     user_factors = rng.normal(0.0, 1.0, size=(n_users, latent_dim))
     item_factors = rng.normal(0.0, 1.0, size=(n_items, latent_dim))

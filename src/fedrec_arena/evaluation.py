@@ -132,16 +132,17 @@ def project_2d(rows: np.ndarray) -> np.ndarray:
 
 
 def dump_target_updates(
-    round_contributions: Sequence[tuple[int, np.ndarray]],
+    users: np.ndarray,
+    rows: np.ndarray,
     target_item: int,
     num_genuine: int,
     round_index: int,
 ) -> UpdateDump:
-    """Export every contributor's raw update for the target item, with a 2-D principal-component
-    projection attached per row; ids from ``num_genuine`` on are labelled fake."""
-    if not round_contributions:
+    """Every contributor's raw target update (``rows[i]`` is ``users[i]``'s) by contributor id,
+    with a 2-D principal-component projection per row; ids from ``num_genuine`` on are fake."""
+    if not len(users):
         raise ValueError(f"target item {target_item} received no contributions")
-    ordered = sorted(round_contributions, key=lambda c: c[0])
-    rows = [(u, "fake" if u >= num_genuine else "genuine", vec.copy()) for u, vec in ordered]
-    projection = project_2d(np.stack([vec for _, _, vec in rows]))
-    return UpdateDump(round_index, target_item, rows, projection)
+    order = np.argsort(users, kind="stable")
+    users, rows = users[order].tolist(), rows[order]
+    labels = ["fake" if u >= num_genuine else "genuine" for u in users]
+    return UpdateDump(round_index, target_item, list(zip(users, labels, rows)), project_2d(rows))

@@ -8,6 +8,10 @@ contributions are one contiguous run. Row k is ``scale[k] * sources[who[k]]``
 and is built only inside ``aggregation.aggregate_round``, which aggregates
 every touched item in one call.
 
+A run keeps no round's table: every round marks one (users, items) footprint
+matrix in place, and its ``RoundLedger`` keeps the target item's contributors
+and the items that fell back to the median.
+
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
 one stream consumed in user-id order, each user's train items in order, so
@@ -116,31 +120,31 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError("federation.rounds must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("model.learning_rate must lie in (0, inf)")
         if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+            raise ValueError("eval.every must be >= 1")
         if not 0 < self.participation <= 1:
-            raise ValueError("participation must be in (0, 1]")
+            raise ValueError("federation.participation must be in (0, 1]")
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ValueError("model.dim must be >= 1")
         if self.threads != 1:
             raise ValueError("threads must be 1: a round trains every participant in one pass")
         if any(k < 1 for k in self.topk):
-            raise ValueError("every topk entry must be >= 1")
+            raise ValueError("every eval.topk entry must be >= 1")
         if self.dump_round is not None and not 1 <= self.dump_round <= self.rounds:
-            raise ValueError("dump_round must lie in [1, rounds]")
+            raise ValueError("eval.dump_round must lie in [1, federation.rounds]")
         if self.aggregator.rule == "hics" and not 1 <= self.aggregator.hics_z <= self.dim:
-            raise ValueError(f"aggregator hics_z must lie in [1, dim={self.dim}]")
+            raise ValueError(f"aggregator hics_z must lie in [1, model.dim={self.dim}]")
         if self._attacking() and not 1 <= self.attack.start_round <= self.rounds:
-            raise ValueError("attack start_round must lie in [1, rounds]")
+            raise ValueError("attack start_round must lie in [1, federation.rounds]")
         target = self.attack.target_item
         if isinstance(target, bool) or not isinstance(target, (int, np.integer, type(None))):
             raise ValueError(f"attack target_item must be an integer item id, got {target!r}")
         if self.dataset.kind == "synthetic":
             ds = self.dataset
-            check_synthetic_shape(ds.users, ds.items, ds.interactions_per_user)
+            check_synthetic_shape(ds.users, ds.items, ds.latent_dim, ds.interactions_per_user)
             self.check_item_count(ds.items)
 
     def _attacking(self) -> bool:
@@ -162,13 +166,9 @@ class ExperimentConfig:
 @dataclass
 class RoundLedger:
     round: int
-    # the round's contribution index, sorted by (item, contributor): row r
-    # says contributor users[r] uploaded a delta for item items[r]
-    users: np.ndarray
-    items: np.ndarray
     fallbacks: np.ndarray  # int32 ids of the items that fell back to the median
-    # (contributor, delta) for the target item, kept only at the dump round
-    target_contributions: Optional[list[tuple[int, np.ndarray]]] = None
+    target_users: np.ndarray  # int32 target contributor ids, ascending; fakes from num_genuine
+    target_rows: Optional[np.ndarray] = None  # their target deltas, kept at the dump round only
 
 
 @dataclass
@@ -179,6 +179,8 @@ class ExperimentResult:
     num_fakes: int
     metrics: list[evaluation.MetricsRecord]
     ledgers: list[RoundLedger]
+    # (genuine + fakes, items): whether the user ever uploaded for the item
+    footprints: np.ndarray
     final_embeddings: ItemEmbeddings
     profiles: list[UserProfile]
     dumps: list[evaluation.UpdateDump]
@@ -240,14 +242,15 @@ def run_round(
     learning_rate: float,
     participation: float,
     bank: np.ndarray,
+    footprints: np.ndarray,
     capture_target: bool = False,
 ) -> tuple[ItemEmbeddings, RoundLedger]:
     """One global round: local training, fake uploads, aggregation.
 
     Participants are table rows in id order: the genuine users, and the
     baseline fakes from the attack's start round on. Items nobody touched
-    carry over bit-identically. ``bank`` is the HiCS bank, one row per item,
-    carried between rounds and updated in place.
+    carry over bit-identically. ``bank`` (the HiCS bank, one row per item) and
+    ``footprints`` (users, items) are carried between rounds and updated in place.
     """
     round_index = embeddings.round
 
@@ -272,13 +275,14 @@ def run_round(
     # fake ids exceed every participant id and training emits (item, user)
     # order, so one stable sort by item orders the table by (item, contributor).
     sources = np.concatenate((user_rows, fake_deltas))
-    source_ids = np.concatenate((rows.astype(np.int32), fake_ids))  # int32 halves each ledger
+    source_ids = np.concatenate((rows.astype(np.int32), fake_ids))
     items = np.concatenate((items, fake_items))
     who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
     scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
     order = np.argsort(items, kind="stable")
     items, who, scale = items[order].astype(np.int32), who[order], scale[order]
     contributors = source_ids[who]
+    footprints[contributors, items] = True
 
     touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
     matrix = embeddings.matrix.copy()
@@ -289,12 +293,10 @@ def run_round(
             round_index, spec.rule, fallbacks.size, fallbacks.tolist(),
         )
 
-    target_contributions = None
-    if capture_target:
-        lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
-        target_rows = sources[who[lo:hi]] * scale[lo:hi, None]
-        target_contributions = list(zip(contributors[lo:hi].tolist(), target_rows))
-    ledger = RoundLedger(round_index, contributors, items, fallbacks, target_contributions)
+    # copies, so that the ledger keeps none of the round's upload index alive
+    lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
+    target_rows = sources[who[lo:hi]] * scale[lo:hi, None] if capture_target else None
+    ledger = RoundLedger(round_index, fallbacks, contributors[lo:hi].copy(), target_rows)
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
 
@@ -328,7 +330,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         spec = replace(spec, krum_m=attack.num_fakes)
     bank = np.zeros_like(embeddings.matrix)  # HiCS carry-over, empty every run
 
-    # (genuine + fake users, items): whether the user ever uploaded for the item
     footprints = np.zeros((num_genuine + attack.num_fakes, embeddings.num_items), dtype=bool)
     metrics: list[evaluation.MetricsRecord] = []
     ledgers: list[RoundLedger] = []
@@ -339,20 +340,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         capture = config.dump_round == round_index
         embeddings, ledger = run_round(
             embeddings, users, attack, spec, streams,
-            config.learning_rate, config.participation, bank, capture,
+            config.learning_rate, config.participation, bank, footprints, capture,
         )
         ledgers.append(ledger)
-        footprints[ledger.users, ledger.items] = True
         if not np.isfinite(embeddings.matrix).all():
             raise FloatingPointError(f"round {round_index}: item embeddings are not finite")
 
         if capture:
-            if ledger.target_contributions:
-                dumps.append(
-                    evaluation.dump_target_updates(
-                        ledger.target_contributions, target_item, num_genuine, round_index
-                    )
-                )
+            if ledger.target_users.size:
+                dumps.append(evaluation.dump_target_updates(
+                    ledger.target_users, ledger.target_rows, target_item, num_genuine, round_index
+                ))
             else:
                 log.warning("round %d: target item received no contributions, nothing to dump", round_index)
 
@@ -372,6 +370,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         num_fakes=attack.num_fakes,
         metrics=metrics,
         ledgers=ledgers,
+        footprints=footprints,
         final_embeddings=embeddings,
         profiles=users.profiles(num_genuine),
         dumps=dumps,

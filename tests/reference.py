@@ -84,7 +84,7 @@ def generate_synthetic(
 ) -> list[tuple[int, int, int]]:
     """``data.generate_synthetic``'s interactions, each user's top-k taken by
     a full stable sort of their scores."""
-    check_synthetic_shape(n_users, n_items, interactions_per_user)
+    check_synthetic_shape(n_users, n_items, latent_dim, interactions_per_user)
     user_factors = rng.normal(0.0, 1.0, size=(n_users, latent_dim))
     item_factors = rng.normal(0.0, 1.0, size=(n_items, latent_dim))
     popularity_rank = rng.permutation(n_items)

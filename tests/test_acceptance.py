@@ -131,17 +131,14 @@ def target_counts(result) -> tuple[float, float, int, int]:
 
     Returns the mean genuine and mean fake contributor counts per round, the
     number of rounds the target received contributions, and the number of
-    those in which its aggregation fell back to the median (the ledger keeps
-    the ids of the items that fell back).
+    those in which its aggregation fell back to the median (each ledger keeps
+    the target's contributor ids and the ids of the items that fell back).
     """
     window = [l for l in result.ledgers if l.round >= ATTACK_START]
     target = result.target_item
-    fakes = [
-        int(np.count_nonzero((l.items == target) & (l.users >= result.num_genuine)))
-        for l in window
-    ]
-    genuine = [int(np.count_nonzero(l.items == target)) - f for l, f in zip(window, fakes)]
-    aggregated = sum(1 for l in window if np.any(l.items == target))
+    fakes = [int(np.count_nonzero(l.target_users >= result.num_genuine)) for l in window]
+    genuine = [l.target_users.size - f for l, f in zip(window, fakes)]
+    aggregated = sum(1 for l in window if l.target_users.size)
     fallbacks = sum(1 for l in window if np.any(l.fallbacks == target))
     return float(np.mean(genuine)), float(np.mean(fakes)), aggregated, fallbacks
 
@@ -410,12 +407,13 @@ def test_criterion_7_exact_capture():
     runtime = AttackRuntime(poisonfrs(), num_genuine=200, target_item=4)
     runtime.observe_broadcast(emb)
     no_users = UserTable.build(np.empty((0, 32)), 100, [], [], [])
+    footprints = np.zeros((200 + runtime.num_fakes, 100), dtype=bool)
     after, ledger = run_round(
         emb, no_users, runtime, AggregatorSpec(rule="fedavg"), SeedStreams(0),
-        0.05, 1.0, np.zeros_like(emb.matrix),
+        0.05, 1.0, np.zeros_like(emb.matrix), footprints,
     )
     err = np.max(np.abs(after.matrix[4] - runtime.scaled_target))
-    contributors = int(np.count_nonzero(ledger.items == 4))
+    contributors = ledger.target_users.size
     report(
         7,
         err < 1e-12 and contributors == 2,
@@ -469,10 +467,7 @@ def test_criterion_8_process_determinism(tmp_path):
 def test_criterion_9_fake_footprint_bound(runs):
     result = runs("fedavg", "poisonfrs")
     fake_ids = range(result.num_genuine, result.num_genuine + result.num_fakes)
-    per_fake = {
-        f: np.unique(np.concatenate([l.items[l.users == f] for l in result.ledgers])).size
-        for f in fake_ids
-    }
+    per_fake = {f: int(np.count_nonzero(result.footprints[f])) for f in fake_ids}
     bound = 4 * (FILLERS + 1)
     ok = all(c <= bound for c in per_fake.values())
     report(9, ok, f"per-fake distinct updated items {per_fake} (bound {bound})")

@@ -274,6 +274,7 @@ def test_fake_ids_start_after_genuine():
         ("scale", 0.0, "lambda"), ("scale", -1.0, "lambda"), ("scale", float("nan"), "lambda"),
         ("noise_std", -0.5, "noise_std"), ("noise_std", float("nan"), "noise_std"),
         ("fake_fraction", float("nan"), "fake_fraction"), ("fake_fraction", float("inf"), "fake_fraction"),
+        ("scale", float("inf"), "lambda"), ("noise_std", float("inf"), "noise_std"),
     ],
 )
 def test_attack_config_rejects_a_value_that_cannot_run(field, value, name):
@@ -326,7 +327,7 @@ def test_filler_union_stays_bounded(short_attack_run):
     result = short_attack_run
     fake_ids = range(result.num_genuine, result.num_genuine + result.num_fakes)
     for fake in fake_ids:
-        touched = np.unique(np.concatenate([l.items[l.users == fake] for l in result.ledgers]))
+        touched = np.flatnonzero(result.footprints[fake])
         # union of fillers over the run stays within 4x the per-round count
         assert touched.size - 1 <= 4 * 5
 

@@ -145,6 +145,16 @@ def test_run_integer_for_a_float_field_runs_as_the_float(tmp_path):
         ("attack", "noise_std", math.nan, "attack noise_std"),
         ("aggregator", "clip_bound", math.nan, "aggregator clip_bound"),
         ("federation", "participation", math.nan, "participation"),
+        ("dataset", "latent_dim", 0, "latent_dim must be >= 1"),
+        ("model", "learning_rate", math.inf, "model.learning_rate"),
+        ("attack", "lambda", math.inf, "attack lambda"),
+        ("attack", "noise_std", math.inf, "attack noise_std"),
+        ("federation", "rounds", 0, "federation.rounds must be >= 1"),
+        ("eval", "every", 0, "eval.every must be >= 1"),
+        ("federation", "participation", 1.5, "federation.participation must be"),
+        ("model", "dim", 0, "model.dim must be >= 1"),
+        ("eval", "topk", [0], "eval.topk entry"),
+        ("eval", "dump_round", 11, "eval.dump_round must lie in [1, federation.rounds]"),
     ],
 )
 def test_run_value_that_cannot_run_exits_2(tmp_path, capsys, section, key, value, message):
@@ -315,6 +325,14 @@ def test_synth_zero_users_exits_2(tmp_path, capsys):
     assert main(["synth", "--users", "0", "--items", "10", "--per-user", "5", "--output",
                  str(tmp_path / "x.tsv")]) == 2
     assert "n_users" in capsys.readouterr().err
+
+
+def test_synth_zero_latent_dim_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5",
+                 "--latent-dim", "0", "--output", str(out)]) == 2
+    assert "latent_dim must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_on_synth_file_dataset(tmp_path):

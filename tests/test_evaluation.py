@@ -345,18 +345,16 @@ def test_project_deterministic_sign_convention():
 # ------------------------------------------------------------- update dump
 
 def test_dump_orders_rows_and_labels():
-    contributions = [
-        (5, np.array([1.0, 0.0])),
-        (1, np.array([0.0, 1.0])),
-        (3, np.array([1.0, 1.0])),
-    ]
-    dump = dump_target_updates(contributions, target_item=7, num_genuine=4, round_index=42)
+    users = np.array([5, 1, 3], dtype=np.int32)
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    dump = dump_target_updates(users, rows, target_item=7, num_genuine=4, round_index=42)
     assert dump.item == 7 and dump.round == 42
     assert [u for u, _, _ in dump.rows] == [1, 3, 5]
     assert [label for _, label, _ in dump.rows] == ["genuine", "genuine", "fake"]
+    assert [vec.tolist() for _, _, vec in dump.rows] == [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
     assert dump.projection.shape == (3, 2)
 
 
 def test_dump_requires_contributions():
     with pytest.raises(ValueError):
-        dump_target_updates([], 0, 0, 1)
+        dump_target_updates(np.empty(0, dtype=np.int32), np.empty((0, 2)), 0, 0, 1)

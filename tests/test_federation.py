@@ -49,10 +49,47 @@ def no_attack_runtime(num_genuine=0):
     return AttackRuntime(AttackConfig(kind="none"), num_genuine=num_genuine, target_item=0)
 
 
-def step(emb, users, attack, spec, streams, participation=1.0):
-    """run_round at the suite's learning rate, from an empty HiCS bank."""
+def empty_footprints(emb, users, attack):
+    """An all-False (uploader, item) matrix: a row per table row and per crafted fake."""
+    uploaders = max(len(users), attack.num_genuine + attack.num_fakes)
+    return np.zeros((uploaders, emb.num_items), dtype=bool)
+
+
+def step(emb, users, attack, spec, streams, participation=1.0, footprints=None):
+    """run_round at the suite's learning rate, from an empty HiCS bank, marking
+    ``footprints`` (a fresh empty matrix when not given)."""
     bank = np.zeros_like(emb.matrix)
-    return run_round(emb, users, attack, spec, streams, 0.05, participation, bank)
+    if footprints is None:
+        footprints = empty_footprints(emb, users, attack)
+    return run_round(emb, users, attack, spec, streams, 0.05, participation, bank, footprints)
+
+
+def spy_uploads(monkeypatch):
+    """Record every round's upload index as (contributor ids, items), in table
+    order, from spies on the pair draw, the crafted uploads and the
+    aggregation: the drawn participant ids, then the crafted rows' fake ids,
+    indexed by the table's ``who``."""
+    uploads, ids = [], []
+    real_draw, real_aggregate = federation.draw_round_pairs, federation.aggregate_round
+    real_craft = AttackRuntime.crafted_updates
+
+    def spy_draw(table, rows, rng):
+        ids[:] = [rows]
+        return real_draw(table, rows, rng)
+
+    def spy_craft(runtime, embeddings, noise_rngs):
+        crafted = real_craft(runtime, embeddings, noise_rngs)
+        ids.append(crafted[0])
+        return crafted
+
+    def spy_aggregate(spec, items, who, scale, sources, bank):
+        uploads.append((np.concatenate(ids)[who], items.copy()))
+        return real_aggregate(spec, items, who, scale, sources, bank)
+
+    monkeypatch.setattr(federation, "draw_round_pairs", spy_draw)
+    monkeypatch.setattr(AttackRuntime, "crafted_updates", spy_craft)
+    monkeypatch.setattr(federation, "aggregate_round", spy_aggregate)
+    return uploads
 
 
 def genuine_table(dataset, dim, streams):
@@ -79,10 +116,13 @@ def test_round_with_zero_users_leaves_embeddings_unchanged():
     emb = ItemEmbeddings(round=1, matrix=np.random.default_rng(0).normal(size=(5, 3)))
     before = emb.matrix.copy()
     users = user_table([], 5, 3)
-    after, ledger = step(emb, users, no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams)
+    footprints = np.zeros((0, 5), dtype=bool)
+    after, ledger = step(
+        emb, users, no_attack_runtime(), AggregatorSpec(rule="fedavg"), streams, 1.0, footprints
+    )
     assert np.array_equal(after.matrix, before)
     assert after.round == 2
-    assert ledger.items.size == 0
+    assert footprints.sum() == 0 and ledger.target_users.size == 0
 
 
 def test_single_user_fedavg_applies_exact_update():
@@ -97,12 +137,15 @@ def test_single_user_fedavg_applies_exact_update():
     expected = dict(zip(*local_train(shadow, ItemEmbeddings(1, matrix.copy()), pairs, 0.05)))
 
     users = user_table([profile], 10, 4)
-    after, ledger = step(emb, users, no_attack_runtime(1), AggregatorSpec(rule="fedavg"), streams)
+    footprints = np.zeros((1, 10), dtype=bool)
+    after, _ = step(
+        emb, users, no_attack_runtime(1), AggregatorSpec(rule="fedavg"), streams, 1.0, footprints
+    )
     for item, delta in expected.items():
         assert after.matrix[item] == pytest.approx(matrix[item] + delta, rel=1e-12)
     untouched = [i for i in range(10) if i not in expected]
     assert np.array_equal(after.matrix[untouched], matrix[untouched])
-    assert tuple(ledger.items[ledger.users == 0]) == tuple(sorted(expected))
+    assert tuple(np.flatnonzero(footprints[0]).tolist()) == tuple(sorted(expected))
 
 
 def test_fakes_only_round_captures_target_exactly():
@@ -126,8 +169,9 @@ def test_untouched_items_carry_over_bit_identical():
     users = first_rows(genuine_table(dataset, config.dim, streams), 5)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     before = emb.matrix.copy()
-    after, ledger = step(emb, users, no_attack_runtime(5), config.aggregator, streams)
-    touched = set(ledger.items.tolist())
+    footprints = np.zeros((5, dataset.num_items), dtype=bool)
+    after, _ = step(emb, users, no_attack_runtime(5), config.aggregator, streams, 1.0, footprints)
+    touched = set(np.flatnonzero(footprints.any(axis=0)).tolist())
     for item in range(dataset.num_items):
         if item not in touched:
             assert np.array_equal(after.matrix[item], before[item])
@@ -135,16 +179,18 @@ def test_untouched_items_carry_over_bit_identical():
             assert not np.array_equal(after.matrix[item], before[item])
 
 
-def test_participation_accounting_no_attack():
+def test_participation_accounting_no_attack(monkeypatch):
     config = small_config()
     streams = SeedStreams(config.seed)
     dataset = resolve_dataset(config.dataset, streams)
     users = genuine_table(dataset, config.dim, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
-    _, ledger = step(emb, users, no_attack_runtime(len(users)), config.aggregator, streams)
-    total_contributions = ledger.items.size
+    uploads = spy_uploads(monkeypatch)
+    step(emb, users, no_attack_runtime(len(users)), config.aggregator, streams)
+    (contributors, items), = uploads
+    total_contributions = items.size
     per_user_items = sum(
-        len(set(ledger.items[ledger.users == user].tolist())) for user in set(ledger.users.tolist())
+        len(set(items[contributors == user].tolist())) for user in set(contributors.tolist())
     )
     assert total_contributions == per_user_items
 
@@ -169,17 +215,19 @@ def _round_inputs(config, reverse=False):
     [AggregatorSpec(rule="krum", krum_m=1), AggregatorSpec(rule="trimmed_mean", trim_beta=2)],
     ids=["krum", "trimmed_mean"],
 )
-def test_round_orders_contributions_by_contributor_whatever_the_upload_order(spec):
+def test_round_orders_contributions_by_contributor_whatever_the_upload_order(monkeypatch, spec):
     config = small_config()
     outcomes = []
+    uploads = spy_uploads(monkeypatch)
     for reverse in (False, True):
         users, emb, streams = _round_inputs(config, reverse)
         after, ledger = step(emb, users, no_attack_runtime(len(users)), spec, streams)
         outcomes.append(after.matrix)
+        uploaders, items = uploads[-1]
         # the named rule, not its median fallback, aggregated at least one item
-        assert len(ledger.fallbacks) < len(np.unique(ledger.items))
-        for item in np.unique(ledger.items):
-            contributors = ledger.users[ledger.items == item]
+        assert len(ledger.fallbacks) < len(np.unique(items))
+        for item in np.unique(items):
+            contributors = uploaders[items == item]
             assert np.all(np.diff(contributors) > 0), f"item {item}: {contributors}"
     assert np.array_equal(outcomes[0], outcomes[1])
 
@@ -188,9 +236,10 @@ def test_round_logs_one_fallback_record(caplog):
     config = small_config()
     users, emb, streams = _round_inputs(config)
     spec = AggregatorSpec(rule="krum", krum_m=1000)  # degenerate on every item
+    footprints = np.zeros((len(users), emb.num_items), dtype=bool)
     with caplog.at_level(logging.WARNING, logger="fedrec_arena.aggregation"):
-        _, ledger = step(emb, users, no_attack_runtime(len(users)), spec, streams)
-    items = np.unique(ledger.items)
+        _, ledger = step(emb, users, no_attack_runtime(len(users)), spec, streams, 1.0, footprints)
+    items = np.flatnonzero(footprints.any(axis=0))
     assert len(items) > 1
     assert len(ledger.fallbacks) == len(items)
     records = [r for r in caplog.records if r.name == "fedrec_arena.aggregation"]
@@ -205,8 +254,9 @@ def test_round_skips_a_participant_who_interacted_with_every_item():
     everything = 2
     users.interacted[everything] = True
     before = users.embeddings[everything].copy()
-    _, ledger = step(emb, users, no_attack_runtime(6), config.aggregator, streams)
-    assert set(ledger.users.tolist()) == set(range(6)) - {everything}
+    footprints = np.zeros((6, emb.num_items), dtype=bool)
+    step(emb, users, no_attack_runtime(6), config.aggregator, streams, 1.0, footprints)
+    assert set(np.flatnonzero(footprints.any(axis=1)).tolist()) == set(range(6)) - {everything}
     assert np.array_equal(users.embeddings[everything], before)
 
 
@@ -224,14 +274,15 @@ def test_round_builds_no_array_the_size_of_its_upload_table():
     dataset = resolve_dataset(config.dataset, streams)
     emb = init_embeddings(dataset.num_items, config.dim, streams)
     users = genuine_table(dataset, config.dim, streams)
+    attack = no_attack_runtime(dataset.num_users)
+    footprints = empty_footprints(emb, users, attack)
     tracemalloc.start()
     try:
-        attack = no_attack_runtime(dataset.num_users)
-        _, ledger = step(emb, users, attack, config.aggregator, streams)
+        step(emb, users, attack, config.aggregator, streams, 1.0, footprints)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = ledger.items.size * config.dim * 8
+    table_bytes = int(footprints.sum()) * config.dim * 8
     assert table_bytes > 5 * emb.matrix.nbytes
     assert peak < table_bytes, (peak, table_bytes)
 
@@ -267,7 +318,7 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
         return draws[-1][1:]
 
     def spy_aggregate(spec, items, who, scale, sources, bank):
-        blocks.append(sources[who] * scale[:, None])
+        blocks.append((items, who, sources[who] * scale[:, None]))
         return real_aggregate(spec, items, who, scale, sources, bank)
 
     monkeypatch.setattr(federation, "draw_round_pairs", spy_draw)
@@ -278,8 +329,9 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
         broadcast = ItemEmbeddings(emb.round, emb.matrix.copy())
         draws.clear()
         blocks.clear()
-        emb, ledger = step(emb, users, runtime, config.aggregator, streams, participation)
+        emb, _ = step(emb, users, runtime, config.aggregator, streams, participation)
         (shadows, owner, pos, neg), = draws
+        (items, who, rows), = blocks
         if participation == 1.0:
             assert {0, 1} <= {s.user_id for s in shadows}
         expected = {}
@@ -296,12 +348,13 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
             upload = local_train(shadow, broadcast, pairs, config.learning_rate)
             expected.update(((int(i), shadow.user_id), d) for i, d in zip(*upload))
         noise = [streams.fake_noise(round_index, f) for f in runtime.fake_ids]
-        fakes, items, deltas = runtime.crafted_updates(broadcast, noise)
-        crafted = {(int(i), int(f)): d for f, i, d in zip(fakes, items, deltas)}
-        rows = np.concatenate(blocks) if blocks else np.empty((0, config.dim))
-        got = {(int(i), int(u)): r for i, u, r in zip(ledger.items, ledger.users, rows)}
-        by_item_then_user = np.lexsort((ledger.users, ledger.items))
-        assert np.array_equal(by_item_then_user, np.arange(ledger.items.size))
+        fakes, fake_items, deltas = runtime.crafted_updates(broadcast, noise)
+        crafted = {(int(i), int(f)): d for f, i, d in zip(fakes, fake_items, deltas)}
+        ids = np.array([s.user_id for s in shadows], dtype=np.int64)
+        contributors = np.concatenate((ids, fakes))[who]
+        got = {(int(i), int(u)): r for i, u, r in zip(items, contributors, rows)}
+        by_item_then_user = np.lexsort((contributors, items))
+        assert np.array_equal(by_item_then_user, np.arange(items.size))
         assert got.keys() == expected.keys() | crafted.keys()
         assert all(np.array_equal(got[key], d) for key, d in crafted.items())
         largest = max(np.abs(d).max() for d in expected.values())
@@ -336,32 +389,36 @@ def test_experiment_thread_count_does_not_change_results():
         run_experiment(small_config(threads=8))
 
 
-def test_no_fake_contributions_before_start_round():
+def test_no_fake_contributions_before_start_round(monkeypatch):
     config = small_config(
         rounds=10,
         attack=AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=6, filler_count=2),
     )
+    uploads = spy_uploads(monkeypatch)
     result = run_experiment(config)
     fake_ids = set(range(result.num_genuine, result.num_genuine + result.num_fakes))
     assert result.num_fakes == 4
-    for ledger in result.ledgers:
-        touched_fakes = fake_ids & set(ledger.users.tolist())
-        if ledger.round < 6:
+    assert len(uploads) == config.rounds
+    for round_index, (contributors, _) in enumerate(uploads, start=1):
+        touched_fakes = fake_ids & set(contributors.tolist())
+        if round_index < 6:
             assert not touched_fakes
         else:
             assert touched_fakes == fake_ids
 
 
-def test_baseline_fakes_join_training_at_start_round():
+def test_baseline_fakes_join_training_at_start_round(monkeypatch):
     config = small_config(
         rounds=8,
         attack=AttackConfig(kind="random", fake_fraction=0.1, start_round=5, filler_count=3),
     )
+    uploads = spy_uploads(monkeypatch)
     result = run_experiment(config)
     fake_ids = set(range(result.num_genuine, result.num_genuine + result.num_fakes))
-    for ledger in result.ledgers:
-        seen = fake_ids & set(ledger.users.tolist())
-        assert seen == (fake_ids if ledger.round >= 5 else set())
+    assert len(uploads) == config.rounds
+    for round_index, (contributors, _) in enumerate(uploads, start=1):
+        seen = fake_ids & set(contributors.tolist())
+        assert seen == (fake_ids if round_index >= 5 else set())
 
 
 def test_result_profiles_round_trip_the_split(tmp_path, monkeypatch):
@@ -428,6 +485,8 @@ def test_validate_rejects_bad_configs():
         small_config(rounds=0).validate()
     with pytest.raises(ValueError):
         small_config(learning_rate=0.0).validate()
+    with pytest.raises(ValueError, match="model.learning_rate"):
+        small_config(learning_rate=float("inf")).validate()
     with pytest.raises(ValueError):
         small_config(
             rounds=5,
@@ -447,7 +506,7 @@ def test_validate_rejects_bad_configs():
         small_config(dump_round=0).validate()
     with pytest.raises(ValueError, match="threads"):
         small_config(threads=2).validate()
-    for shape in (dict(items=6), dict(users=0), dict(interactions_per_user=1)):
+    for shape in (dict(items=6), dict(users=0), dict(interactions_per_user=1), dict(latent_dim=0)):
         dataset = DatasetConfig(users=40, items=30, interactions_per_user=6)
         with pytest.raises(ValueError):
             small_config(dataset=replace(dataset, **shape)).validate()
@@ -494,28 +553,63 @@ def test_metric_cadence_includes_final_round():
     assert [m.round for m in result.metrics] == [4, 8, 10]
 
 
-def test_metrics_footprint_matches_ledger_replay():
+def test_metrics_footprint_matches_ledger_replay(monkeypatch):
     from fedrec_arena.evaluation import footprint_stats
 
+    uploads = spy_uploads(monkeypatch)
     result = run_experiment(small_config(rounds=8, eval_every=8))
+    assert len(uploads) == 8
     touched = {}
-    for l in result.ledgers:
-        for user, item in zip(l.users.tolist(), l.items.tolist()):
+    for contributors, items in uploads:
+        for user, item in zip(contributors.tolist(), items.tolist()):
             touched.setdefault(user, set()).add(item)
     counts = [len(touched.get(u, ())) for u in range(result.num_genuine)]
     replayed = footprint_stats(np.array(counts))
     assert result.metrics[-1].footprint == replayed
 
 
-def test_partial_participation_limits_contributors():
+def test_partial_participation_limits_contributors(monkeypatch):
     config = small_config(participation=0.25, rounds=3)
-    result = run_experiment(config)
+    uploads = spy_uploads(monkeypatch)
+    run_experiment(config)
+    first = [np.unique(contributors).tolist() for contributors, _ in uploads]
+    assert len(first) == 3
+    for contributors in first:
+        assert len(contributors) <= max(1, round(0.25 * 40))
+    uploads.clear()
+    run_experiment(small_config(participation=0.25, rounds=3))
+    assert first == [np.unique(contributors).tolist() for contributors, _ in uploads]
+
+
+def test_ledgers_keep_less_than_one_round_of_upload_index(monkeypatch):
+    """Each round's ledger keeps the target's contributors and the fallbacks,
+    not the round's upload index: over a whole run, the ledgers' arrays (each
+    owning buffer counted once, so a view pins its base) take fewer bytes
+    than the int32 (user, item) index of any one round."""
+    uploads = spy_uploads(monkeypatch)
+    result = run_experiment(small_config())
+    assert len(result.ledgers) == len(uploads) == 12
+    buffers = {}
     for ledger in result.ledgers:
-        assert len(np.unique(ledger.users)) <= max(1, round(0.25 * 40))
-    again = run_experiment(small_config(participation=0.25, rounds=3))
-    assert [np.unique(l.users).tolist() for l in result.ledgers] == [
-        np.unique(l.users).tolist() for l in again.ledgers
-    ]
+        for value in vars(ledger).values():
+            while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+                value = value.base
+            if isinstance(value, np.ndarray):
+                buffers[id(value)] = value.nbytes
+    one_round = 8 * min(items.size for _, items in uploads)
+    assert sum(buffers.values()) < one_round, (sum(buffers.values()), one_round)
+
+
+def test_result_footprints_mark_every_upload(monkeypatch):
+    uploads = spy_uploads(monkeypatch)
+    config = small_config(
+        attack=AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=6, filler_count=2),
+    )
+    result = run_experiment(config)
+    replayed = np.zeros((result.num_genuine + result.num_fakes, 30), dtype=bool)
+    for contributors, items in uploads:
+        replayed[contributors, items] = True
+    assert np.array_equal(result.footprints, replayed)
 
 
 # ------------------------------------------------------------- streams
