@@ -25,7 +25,6 @@ from .data import (
 )
 from .evaluation import (
     MetricsRecord,
-    UndefinedMetricError,
     UpdateDump,
     dump_target_updates,
     footprint_stats,
@@ -33,6 +32,7 @@ from .evaluation import (
     rank_metrics,
 )
 from .federation import (
+    ConfigError,
     DatasetConfig,
     ExperimentConfig,
     ExperimentResult,

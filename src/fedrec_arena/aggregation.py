@@ -21,7 +21,7 @@ log = logging.getLogger("fedrec_arena.aggregation")
 RULES = ("fedavg", "median", "trimmed_mean", "krum", "clip", "hics")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregatorSpec:
     rule: str = "fedavg"
     trim_beta: Optional[int] = None  # None: max(1, n // 10) per item

@@ -32,7 +32,7 @@ ATTACK_KINDS = ("none",) + BASELINE_KINDS + ("poisonfrs",)
 BANDWAGON_POPULAR_SHARE = 0.10
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     kind: str = "none"
     fake_fraction: float = 0.0
@@ -190,7 +190,7 @@ class AttackRuntime:
             _, self.scaled_target = build_target(self.snapshot, popular, self.config.scale)
 
     def crafted_updates(
-        self, embeddings: ItemEmbeddings, noise_rngs: Sequence[np.random.Generator]
+        self, embeddings: ItemEmbeddings, streams
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every fake's upload this round as one block (int32 fake ids, items, deltas).
 
@@ -199,7 +199,8 @@ class AttackRuntime:
         for a drifted item: current - snapshot, re-asserting the drift that
         got the item selected. Exact-zero deltas are dropped. The rows run
         fake by fake, each the target then the fillers by drift; with
-        noise_std > 0 each fake adds Gaussian noise drawn from its own rng.
+        noise_std > 0 each fake adds Gaussian noise from the run's
+        ``streams.fake_noise(round, fake)``, the only stream read. No state changes.
         """
         if not self.crafting(embeddings.round):
             return np.empty(0, np.int32), np.empty(0, np.int64), np.empty((0, embeddings.dim))
@@ -216,8 +217,9 @@ class AttackRuntime:
         fake_ids = np.repeat(np.array(self.fake_ids, dtype=np.int32), items.size)
         deltas = np.tile(deltas, (self.num_fakes, 1))
         if self.config.noise_std > 0:
+            shape = (items.size, embeddings.dim)
             deltas += np.concatenate([
-                rng.normal(0.0, self.config.noise_std, size=(items.size, embeddings.dim))
-                for rng in noise_rngs
+                streams.fake_noise(embeddings.round, fake).normal(0.0, self.config.noise_std, shape)
+                for fake in self.fake_ids
             ])
         return fake_ids, np.tile(items, self.num_fakes), deltas

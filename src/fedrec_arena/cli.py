@@ -2,9 +2,10 @@
 
 Subcommands: ``run`` (execute a JSON config, write metrics/summary/dump
 artifacts), ``synth`` (generate a synthetic dataset file), ``aggcheck``
-(aggregate a file of vectors under one rule). Exit codes: 0 success,
-1 runtime failure, 2 usage or config error. The environment variable
-FEDREC_ARENA_LOG selects the log level.
+(aggregate a file of vectors under one rule). Exit codes: 0 success; 2 a
+usage error or a run refused before round 1 (any ``ConfigError``: the config,
+or the data it names, cannot run); 1 a run that failed after it started.
+The environment variable FEDREC_ARENA_LOG selects the log level.
 
 A config's keys, types and defaults, and the synth and aggcheck flag defaults,
 are the config dataclasses' fields; ``LAYOUT`` places ``ExperimentConfig``'s own.
@@ -25,13 +26,9 @@ import numpy as np
 
 from .aggregation import RULES, AggregatorSpec, aggregate_rows, degenerate_reason
 from .data import generate_synthetic, dump_dataset
-from .federation import ExperimentConfig, SeedStreams, run_experiment
+from .federation import ConfigError, ExperimentConfig, SeedStreams, run_experiment
 
 log = logging.getLogger("fedrec_arena.cli")
-
-
-class ConfigError(ValueError):
-    """Invalid config document; message names the offending field path."""
 
 
 # Where a document holds each of ExperimentConfig's own fields, and the renamed
@@ -122,20 +119,18 @@ def resolve_config(document: dict) -> dict:
 
 
 def build_experiment(resolved: dict) -> ExperimentConfig:
-    """Turn a resolved config document into an ExperimentConfig."""
+    """Turn a resolved config document into an ExperimentConfig, which checks itself."""
     values = {}
     for path, (name, hint, _) in SCHEMA.items():
         section, _, key = path.rpartition(".")
         values[name] = _typed(path, (resolved[section] if section else resolved)[key], hint)
     try:
-        config = ExperimentConfig(**{
+        return ExperimentConfig(**{
             key: type(getattr(_DEFAULT, key))(**value) if isinstance(value, dict) else value
             for key, value in _nest(values).items()
         })
-        config.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return config
 
 
 def write_metrics_csv(path: Path, result) -> None:
@@ -148,17 +143,14 @@ def write_metrics_csv(path: Path, result) -> None:
         for k in sorted(record.ndcg_at):
             lines.append(f"{record.round},ndcg,{k},{record.ndcg_at[k]!r}")
         fp = record.footprint
-        if fp is not None:
-            lines.append(f"{record.round},footprint_mean,,{fp.mean!r}")
-            lines.append(f"{record.round},footprint_std,,{fp.std!r}")
-            lines.append(f"{record.round},footprint_min,,{fp.min}")
-            lines.append(f"{record.round},footprint_max,,{fp.max}")
+        lines.append(f"{record.round},footprint_mean,,{fp.mean!r}")
+        lines.append(f"{record.round},footprint_std,,{fp.std!r}")
+        lines.append(f"{record.round},footprint_min,,{fp.min}")
+        lines.append(f"{record.round},footprint_max,,{fp.max}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_dump_csv(path: Path, result) -> None:
-    if not result.dumps:
-        return
     dim = result.dumps[0].rows[0][2].shape[0]
     header = "round,item,user,label,proj_x,proj_y," + ",".join(f"v{i}" for i in range(dim))
     lines = [header]
@@ -208,6 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
     try:
         resolved = resolve_config(document)
         if args.seed is not None:
@@ -215,14 +208,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.dump_updates is not None:
             resolved["eval"]["dump_round"] = args.dump_updates
         config = build_experiment(resolved)
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
+        result = run_experiment(config)  # refuses a config its data cannot run before round 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_experiment(config)
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure
         log.exception("run failed")
         print(f"error: run failed: {exc}", file=sys.stderr)

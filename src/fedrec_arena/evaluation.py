@@ -7,15 +7,11 @@ attacker, so scoring them would inflate the metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import ItemEmbeddings, UserTable
-
-
-class UndefinedMetricError(ValueError):
-    """Metric denominator is empty (e.g. every user interacted with the target)."""
 
 
 @dataclass
@@ -32,7 +28,7 @@ class MetricsRecord:
     hr_at: dict[int, float]  # held-out test-item hit ratio
     target_hr_at: dict[int, float]
     ndcg_at: dict[int, float]
-    footprint: Optional[FootprintStats] = None
+    footprint: FootprintStats
 
 
 @dataclass
@@ -63,15 +59,14 @@ def rank_metrics(
     r <= k, with NDCG gain 1/log2(r + 1). The target ranks among the
     non-interacted items of each user who never interacted with it, and hits
     at k when fewer than k of them rank ahead. One count per user serves all k.
+
+    Preconditions, which ``run_experiment`` checks at setup: some user has a
+    held-out item, and some user never interacted with ``target_item``.
     """
     num_items = embeddings.num_items
     tested = users.test_items[:genuine] >= 0
     test_items = np.maximum(users.test_items[:genuine], 0)  # untested rows are never read
     eligible = ~users.interacted[:genuine, target_item]
-    if not tested.any():
-        raise UndefinedMetricError("no user has a held-out test item")
-    if not eligible.any():
-        raise UndefinedMetricError("no user is eligible for the target hit ratio")
 
     ids = np.arange(num_items)
 

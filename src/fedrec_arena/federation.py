@@ -12,6 +12,12 @@ A run keeps no round's table: every round marks one (users, items) footprint
 matrix in place, and its ``RoundLedger`` keeps the target item's contributors
 and the items that fell back to the median.
 
+A run is refused one way, before round 1. Each config dataclass is frozen
+and checks its own fields when it is built; ``run_experiment`` checks what
+needs the data once, at setup: that the dataset file opens and parses, that
+the attack fits its item count, that some user has a held-out item and that
+some user never interacted with the target. Each such refusal is a ``ConfigError``.
+
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
 one stream consumed in user-id order, each user's train items in order, so
@@ -49,6 +55,10 @@ INIT_SCALE = 0.05  # embeddings start i.i.d. uniform on [-INIT_SCALE, INIT_SCALE
 _ITEM_INIT, _USER_INIT, _PAIRS, _FAKE_NOISE, _BASELINE, _SYNTH, _PARTICIPATION = range(7)
 
 
+class ConfigError(ValueError):
+    """A config, or the data it names, that cannot run; the message names its key."""
+
+
 class SeedStreams:
     """Spawns independent, reproducible RNG substreams from one master seed."""
 
@@ -80,7 +90,7 @@ class SeedStreams:
         return self._stream(_PARTICIPATION, round_index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "synthetic"  # synthetic | file
     # synthetic parameters
@@ -101,7 +111,7 @@ class DatasetConfig:
             raise ValueError(f"dataset popularity_skew must be finite, got {self.popularity_skew}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     dim: int = 32
@@ -118,7 +128,7 @@ class ExperimentConfig:
     threads: int = 1
     dump_round: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("federation.rounds must be >= 1")
         if not 0 < self.learning_rate < math.inf:
@@ -154,13 +164,13 @@ class ExperimentConfig:
         """Reject a target item or attack size that does not fit ``num_items`` items."""
         target = self.attack.target_item
         if target is not None and not 0 <= target < num_items:
-            raise ValueError(f"attack target_item {target} must lie in [0, items={num_items})")
+            raise ConfigError(f"attack target_item {target} must lie in [0, items={num_items})")
         if not self._attacking():
             return
         if not 0 <= self.attack.filler_count < num_items:
-            raise ValueError(f"attack filler_count must lie in [0, items={num_items})")
+            raise ConfigError(f"attack filler_count must lie in [0, items={num_items})")
         if self.attack.kind == "poisonfrs" and not 1 <= self.attack.popular_count <= num_items:
-            raise ValueError(f"attack popular_count must lie in [1, items={num_items}]")
+            raise ConfigError(f"attack popular_count must lie in [1, items={num_items}]")
 
 
 @dataclass
@@ -198,12 +208,13 @@ def resolve_dataset(config: DatasetConfig, streams: SeedStreams) -> InteractionD
             config.popularity_skew,
             streams.synth(),
         )
-    with open(config.path, "r", encoding="utf-8") as fp:
-        first = fp.readline()
-        fp.seek(0)
-        if first.startswith("users="):
-            return load_dataset(fp)
-        return parse_ratings(fp)
+    try:
+        with open(config.path, "r", encoding="utf-8") as fp:
+            first = fp.readline()
+            fp.seek(0)
+            return load_dataset(fp) if first.startswith("users=") else parse_ratings(fp)
+    except (OSError, ValueError) as exc:  # a parse error carries its line number
+        raise ConfigError(f"dataset.path: {exc}") from exc
 
 
 def default_target_item(train_counts: np.ndarray) -> int:
@@ -266,9 +277,7 @@ def run_round(
         user_rows, embeddings.matrix, owner, pos, neg, learning_rate
     )
     users.embeddings[rows] = stepped
-    noisy = attack.crafting(round_index) and attack.config.noise_std > 0  # else no rng is read
-    noise_rngs = [streams.fake_noise(round_index, fake) for fake in attack.fake_ids if noisy]
-    fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, noise_rngs)
+    fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, streams)
 
     # Row k of the table is scale[k] * sources[who[k]], never built here: the
     # old participant embeddings, then the crafted rows at scale 1. Crafted
@@ -303,16 +312,17 @@ def run_round(
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Drive the full timeline and collect the metric series.
 
-    Fully deterministic given the config.
+    Fully deterministic given the config. Data it cannot run is a ConfigError at setup.
     """
     started = time.perf_counter()
-    config.validate()
     streams = SeedStreams(config.seed)
 
     dataset = resolve_dataset(config.dataset, streams)
     # a file dataset's item count is known only once it is loaded
     config.check_item_count(dataset.num_items)
     split = leave_one_out_split(dataset)
+    if (split[2] < 0).all():
+        raise ConfigError("dataset: no user has a held-out item (each has under 2 interactions)")
     embeddings = init_embeddings(dataset.num_items, config.dim, streams)
 
     train_counts = np.bincount(split[1], minlength=dataset.num_items)
@@ -323,6 +333,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     fakes = attack.baseline_fakes(train_counts, config.dim, streams.baseline())
     users = build_user_table(split, dataset.num_items, config.dim, streams, *fakes)
     num_genuine = dataset.num_users
+    if users.interacted[:num_genuine, target_item].all():
+        raise ConfigError(f"attack.target_item: every user has interacted with item {target_item}")
     del dataset, split  # no round reads them: free them before round 1
 
     spec = config.aggregator  # an unset krum_m defaults to the true fake count

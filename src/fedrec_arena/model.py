@@ -105,9 +105,6 @@ def train_step(
     user's step of -lr * dL/du from the old point. Rows whose delta is
     exactly zero are omitted (only nonzero entries are uploaded).
     """
-    if owner.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0), users.copy()
     num_users = len(users)
     # dL/dmargin = -sigmoid(-margin); positives gain +c*u, negatives -c*u
     c, stepped = np.empty(owner.size), users.copy()

@@ -469,7 +469,9 @@ def test_criterion_9_fake_footprint_bound(runs):
     fake_ids = range(result.num_genuine, result.num_genuine + result.num_fakes)
     per_fake = {f: int(np.count_nonzero(result.footprints[f])) for f in fake_ids}
     bound = 4 * (FILLERS + 1)
-    ok = all(c <= bound for c in per_fake.values())
+    # every fake touches the target, and at most the bound
+    touched_target = result.footprints[fake_ids, result.target_item].all()
+    ok = touched_target and all(c <= bound for c in per_fake.values())
     report(9, ok, f"per-fake distinct updated items {per_fake} (bound {bound})")
 
 

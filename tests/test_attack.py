@@ -125,7 +125,7 @@ def test_craft_average_of_fakes_lands_exactly_on_target():
     matrix = rng.normal(size=(8, 4))
     runtime = make_runtime(matrix, target=3, f=2, fakes=4)
     current = ItemEmbeddings(round=6, matrix=rng.normal(size=(8, 4)))
-    _, items, deltas = runtime.crafted_updates(current, [np.random.default_rng(i) for i in range(4)])
+    _, items, deltas = runtime.crafted_updates(current, SeedStreams(0))
     agg, _ = aggregate_rows(AggregatorSpec(rule="fedavg"), deltas[items == 3])
     landed = current.matrix[3] + agg
     assert np.max(np.abs(landed - runtime.scaled_target)) < 1e-12
@@ -137,7 +137,7 @@ def test_craft_zero_filler_entry_omitted():
     runtime = make_runtime(matrix, target=0, f=2)
     current = ItemEmbeddings(round=2, matrix=matrix.copy())
     current.matrix[4] += 2.0  # only item 4 drifted; the second filler's delta is zero
-    _, items, deltas = runtime.crafted_updates(current, [np.random.default_rng(0)])
+    _, items, deltas = runtime.crafted_updates(current, SeedStreams(0))
     update = dict(zip(items, deltas))
     assert set(update) == {0, 4}
     assert update[4] == pytest.approx(current.matrix[4] - runtime.snapshot[4])
@@ -148,16 +148,15 @@ def test_craft_footprint_at_most_one_plus_f():
     matrix = rng.normal(size=(20, 4))
     runtime = make_runtime(matrix, target=5, f=6)
     current = ItemEmbeddings(round=9, matrix=rng.normal(size=(20, 4)))
-    _, items, _ = runtime.crafted_updates(current, [np.random.default_rng(1)])
+    _, items, _ = runtime.crafted_updates(current, SeedStreams(1))
     assert len(set(items.tolist())) == items.size <= 1 + 6
 
 
 def test_craft_before_start_round_rejected():
     matrix = np.zeros((3, 2))
     runtime = make_runtime(matrix, start=5)
-    fake_ids, items, deltas = runtime.crafted_updates(
-        ItemEmbeddings(round=4, matrix=matrix), [np.random.default_rng(0)]
-    )
+    before = ItemEmbeddings(round=4, matrix=matrix)
+    fake_ids, items, deltas = runtime.crafted_updates(before, SeedStreams(0))
     assert fake_ids.size == items.size == 0 and deltas.shape == (0, 2)
 
 
@@ -168,9 +167,9 @@ def test_craft_noise_is_mean_zero_monte_carlo():
     clean_runtime = make_runtime(matrix, target=1, f=1, noise=0.0)
     noisy_runtime = make_runtime(matrix, target=1, f=1, noise=1.0, fakes=draws)
     current = ItemEmbeddings(round=3, matrix=rng.normal(size=(5, 3)))
-    _, clean_items, clean = clean_runtime.crafted_updates(current, [np.random.default_rng(0)])
-    noise_rngs = [np.random.default_rng(1000 + i) for i in range(draws)]
-    _, items, deltas = noisy_runtime.crafted_updates(current, noise_rngs)
+    streams = SeedStreams(1000)
+    _, clean_items, clean = clean_runtime.crafted_updates(current, streams)
+    _, items, deltas = noisy_runtime.crafted_updates(current, streams)
     items = items.reshape(draws, clean_items.size)
     noisy = deltas.reshape(draws, *clean.shape)
     assert (items == clean_items).all()
@@ -188,9 +187,8 @@ def test_crafted_block_runs_fake_by_fake_with_each_fakes_own_noise():
     runtime = make_runtime(matrix, target=2, f=3, noise=0.5, fakes=3)
     current = ItemEmbeddings(round=4, matrix=rng.normal(size=(10, 3)))
     streams = SeedStreams(7)
-    noise_rngs = [streams.fake_noise(4, fake) for fake in runtime.fake_ids]
-    _, shared_items, shared = clean_runtime.crafted_updates(current, noise_rngs)
-    fakes, items, deltas = runtime.crafted_updates(current, noise_rngs)
+    _, shared_items, shared = clean_runtime.crafted_updates(current, streams)
+    fakes, items, deltas = runtime.crafted_updates(current, streams)
     n = 1 + 3
     fillers = select_fillers(runtime.snapshot, current.matrix, 3, target_item=2)
     assert fakes.dtype == np.int32
@@ -328,7 +326,9 @@ def test_filler_union_stays_bounded(short_attack_run):
     fake_ids = range(result.num_genuine, result.num_genuine + result.num_fakes)
     for fake in fake_ids:
         touched = np.flatnonzero(result.footprints[fake])
-        # union of fillers over the run stays within 4x the per-round count
+        # every fake uploads for the target; the union of fillers over the
+        # run stays within 4x the per-round count
+        assert result.target_item in touched
         assert touched.size - 1 <= 4 * 5
 
 

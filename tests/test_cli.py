@@ -243,28 +243,70 @@ def test_run_invalid_json_exits_2(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_run_missing_dataset_file_exits_1(tmp_path, capsys):
+def test_run_missing_dataset_file_exits_2(tmp_path, capsys):
     document = dict(MINIMAL, dataset={"kind": "file", "path": str(tmp_path / "nope.tsv")})
     config = write_config(tmp_path, document)
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert "run failed" in capsys.readouterr().err
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "error: dataset.path: " in capsys.readouterr().err
 
 
-def test_run_file_dataset_checks_attack_size_before_round_1(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def no_round(monkeypatch):
     from fedrec_arena import federation
 
-    def no_round(*args, **kwargs):
+    def fail(*args, **kwargs):
         raise AssertionError("a round ran")
 
-    monkeypatch.setattr(federation, "run_round", no_round)
+    monkeypatch.setattr(federation, "run_round", fail)
+
+
+def test_run_file_dataset_checks_attack_size_before_round_1(tmp_path, capsys, no_round):
     data = tmp_path / "data.tsv"
     data.write_text("users=2 items=3\n0\t0\t0\n0\t1\t1\n1\t1\t0\n1\t2\t1\n")
     attack = {"kind": "poisonfrs", "fake_fraction": 0.5, "start_round": 5, "filler_count": 3}
     document = dict(MINIMAL, dataset={"kind": "file", "path": str(data)}, attack=attack)
     config = write_config(tmp_path, document)
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "filler_count" in err and "a round ran" not in err
+
+
+# a 4 x 5 file where each user holds out an item and items 3 and 4 are eligible targets
+FIVE_ITEMS = "users=4 items=5\n" + "".join(
+    f"{u}\t{i}\t{o}\n" for u, items in enumerate([(0, 1), (1, 2), (2, 0, 3), (0, 4)])
+    for o, i in enumerate(items)
+)
+
+
+@pytest.mark.parametrize(
+    "data, attack, message",
+    [
+        (FIVE_ITEMS, {"filler_count": 5}, "attack filler_count must lie in [0, items=5)"),
+        (FIVE_ITEMS, {"popular_count": 6}, "attack popular_count must lie in [1, items=5]"),
+        (FIVE_ITEMS, {"target_item": 5}, "attack target_item 5 must lie in [0, items=5)"),
+        ("users=2 items=3\n0\t0\t0\n1\t2\t0\n", {}, "dataset: no user has a held-out item"),
+        ("users=2 items=3\n0\t1\t0\n0\t0\t1\n1\t0\t0\n1\t2\t1\n", {"target_item": 0},
+         "attack.target_item: every user has interacted with item 0"),
+        (None, {}, "dataset.path: [Errno 2]"),
+        ("users=2 items=3\n0\t0\t0\n0\t1\n", {}, "dataset.path: line 3: bad interaction line"),
+    ],
+    ids=["filler_count", "popular_count", "target_item", "one_interaction_each",
+         "every_user_has_the_target", "missing_file", "malformed_line"],
+)
+def test_run_file_dataset_that_cannot_run_exits_2_before_round_1(
+    tmp_path, capsys, no_round, data, attack, message
+):
+    path = tmp_path / "data.tsv"
+    if data is not None:
+        path.write_text(data)
+    attack = {"kind": "poisonfrs", "fake_fraction": 0.5, "start_round": 2, "filler_count": 2,
+              "popular_count": 2, **attack}
+    config = write_config(tmp_path, dict(MINIMAL, dataset={"kind": "file", "path": str(path)},
+                                         attack=attack))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_summary_echo_reproduces_metrics_bytes(tmp_path):

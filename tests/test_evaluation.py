@@ -3,14 +3,13 @@ import pytest
 
 from fedrec_arena import evaluation
 from fedrec_arena.evaluation import (
-    UndefinedMetricError,
     dump_target_updates,
     footprint_stats,
     project_2d,
     rank_metrics,
 )
 from fedrec_arena.attack import AttackConfig
-from fedrec_arena.federation import DatasetConfig, ExperimentConfig, run_experiment
+from fedrec_arena.federation import ConfigError, DatasetConfig, ExperimentConfig, run_experiment
 from fedrec_arena.model import ItemEmbeddings, UserProfile
 
 from reference import user_table
@@ -22,6 +21,27 @@ def profile(uid, u, interacted=(), train=(), test=None):
 
 def embeddings(rows):
     return ItemEmbeddings(round=1, matrix=np.asarray(rows, dtype=float))
+
+
+def run_on_file(tmp_path, header, rows, **attack):
+    """run_experiment on a ``users=`` file of (user, item, order) rows; no round may run."""
+    data = tmp_path / "data.tsv"
+    data.write_text(header + "\n" + "".join(f"{u}\t{i}\t{o}\n" for u, i, o in rows))
+    config = ExperimentConfig(
+        dataset=DatasetConfig(kind="file", path=str(data)), dim=4, rounds=3, eval_every=1,
+        topk=(1,), attack=AttackConfig(**attack),
+    )
+    return run_experiment(config)
+
+
+@pytest.fixture
+def no_round(monkeypatch):
+    from fedrec_arena import federation
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(federation, "run_round", fail)
 
 
 def batched(profiles, emb, target_item, ks):
@@ -118,8 +138,13 @@ def test_target_hr_excludes_users_who_interacted_with_target():
     eligible = profile(0, [1.0])
     ineligible = profile(1, [1.0], interacted={0}, train=[0])
     assert target_hit_ratio([eligible, ineligible], emb, 0, k=1) == 1.0
-    with pytest.raises(UndefinedMetricError):
-        target_hit_ratio([ineligible], emb, 0, k=1)
+
+
+def test_target_hr_requires_an_eligible_user(tmp_path, no_round):
+    # checked once at setup, since rank_metrics takes it as a precondition
+    rows = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 2, 1)]
+    with pytest.raises(ConfigError, match="attack.target_item: every user has interacted with item 0"):
+        run_on_file(tmp_path, "users=2 items=3", rows, target_item=0)
 
 
 def test_target_hr_saturates_at_full_candidate_k():
@@ -171,10 +196,10 @@ def test_hr_candidates_exclude_train_but_include_test():
     assert held_out([user], emb, k=1)[0] == 1.0
 
 
-def test_hr_requires_a_test_user():
-    emb = embeddings([[1.0]])
-    with pytest.raises(UndefinedMetricError):
-        held_out([profile(0, [1.0], interacted={0}, train=[0])], emb, 1)
+def test_hr_requires_a_test_user(tmp_path, no_round):
+    # checked once at setup, since rank_metrics takes it as a precondition
+    with pytest.raises(ConfigError, match="dataset: no user has a held-out item"):
+        run_on_file(tmp_path, "users=3 items=3", [(0, 0, 0), (1, 1, 0)])
 
 
 # ------------------------------------------------------------- NDCG

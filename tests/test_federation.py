@@ -1,6 +1,6 @@
 import logging
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from fedrec_arena import federation
 from fedrec_arena.aggregation import AggregatorSpec
 from fedrec_arena.attack import AttackConfig, AttackRuntime
-from fedrec_arena.data import draw_round_pairs
+from fedrec_arena.data import draw_round_pairs, dump_dataset, parse_ratings
 from fedrec_arena.federation import (
     DatasetConfig,
     ExperimentConfig,
@@ -77,8 +77,8 @@ def spy_uploads(monkeypatch):
         ids[:] = [rows]
         return real_draw(table, rows, rng)
 
-    def spy_craft(runtime, embeddings, noise_rngs):
-        crafted = real_craft(runtime, embeddings, noise_rngs)
+    def spy_craft(runtime, embeddings, streams):
+        crafted = real_craft(runtime, embeddings, streams)
         ids.append(crafted[0])
         return crafted
 
@@ -347,8 +347,7 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
             pairs = np.column_stack((pos[mine], neg[mine]))
             upload = local_train(shadow, broadcast, pairs, config.learning_rate)
             expected.update(((int(i), shadow.user_id), d) for i, d in zip(*upload))
-        noise = [streams.fake_noise(round_index, f) for f in runtime.fake_ids]
-        fakes, fake_items, deltas = runtime.crafted_updates(broadcast, noise)
+        fakes, fake_items, deltas = runtime.crafted_updates(broadcast, streams)
         crafted = {(int(i), int(f)): d for f, i, d in zip(fakes, fake_items, deltas)}
         ids = np.array([s.user_id for s in shadows], dtype=np.int64)
         contributors = np.concatenate((ids, fakes))[who]
@@ -455,6 +454,33 @@ def test_result_profiles_round_trip_the_split(tmp_path, monkeypatch):
     assert result.profiles[2].train_items == [5] and result.profiles[2].test_item is None
 
 
+def test_raw_ratings_file_runs_as_its_dumped_dataset(tmp_path):
+    """A ``user::item::rating::order`` file runs exactly as the ``users=`` file
+    that ``dump_dataset`` writes from its parse: same target, metrics, final
+    item embeddings and profile embeddings."""
+    rng = np.random.default_rng(21)
+    lines = [
+        f"u{100 + user}::{7 * item + 3}::{rng.integers(1, 6)}::{order}\n"
+        for user in range(30) for order, item in enumerate(rng.choice(25, size=6, replace=False))
+    ]
+    lines = [*rng.permutation(lines), lines[0].replace("::0\n", "::9\n")]  # a repeat is dropped
+    raw, dumped = tmp_path / "ratings.dat", tmp_path / "dataset.tsv"
+    raw.write_text("".join(lines))
+    with raw.open() as fp, dumped.open("w") as out:
+        dump_dataset(parse_ratings(fp), out)
+    attack = AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=3, filler_count=3)
+    a, b = (
+        run_experiment(small_config(dataset=DatasetConfig(kind="file", path=str(path)), attack=attack))
+        for path in (raw, dumped)
+    )
+    assert a.target_item == b.target_item
+    assert a.metrics == b.metrics
+    assert np.array_equal(a.final_embeddings.matrix, b.final_embeddings.matrix)
+    assert len(a.profiles) == len(b.profiles) == 30
+    for p, q in zip(a.profiles, b.profiles):
+        assert np.array_equal(p.user_embedding, q.user_embedding)
+
+
 def test_single_round_snapshot_equals_initial_embeddings():
     streams = SeedStreams(11)
     emb = init_embeddings(6, 4, streams)
@@ -481,55 +507,58 @@ def test_default_target_is_least_interacted():
 
 
 def test_validate_rejects_bad_configs():
+    assert not hasattr(ExperimentConfig, "validate")  # a config checks itself when built
+    with pytest.raises(FrozenInstanceError):  # and cannot change after
+        small_config().attack.filler_count = 30
     with pytest.raises(ValueError):
-        small_config(rounds=0).validate()
+        small_config(rounds=0)
     with pytest.raises(ValueError):
-        small_config(learning_rate=0.0).validate()
+        small_config(learning_rate=0.0)
     with pytest.raises(ValueError, match="model.learning_rate"):
-        small_config(learning_rate=float("inf")).validate()
+        small_config(learning_rate=float("inf"))
     with pytest.raises(ValueError):
         small_config(
             rounds=5,
             attack=AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=9),
-        ).validate()
+        )
     with pytest.raises(ValueError):
-        small_config(dim=4, aggregator=AggregatorSpec(rule="hics", hics_z=8)).validate()
+        small_config(dim=4, aggregator=AggregatorSpec(rule="hics", hics_z=8))
     with pytest.raises(ValueError):
-        small_config(aggregator=AggregatorSpec(rule="hics", hics_z=0)).validate()
+        small_config(aggregator=AggregatorSpec(rule="hics", hics_z=0))
     with pytest.raises(ValueError):
-        small_config(topk=(0, 5)).validate()
+        small_config(topk=(0, 5))
     with pytest.raises(ValueError):
-        small_config(dim=0).validate()
+        small_config(dim=0)
     with pytest.raises(ValueError):
-        small_config(dump_round=99).validate()
+        small_config(dump_round=99)
     with pytest.raises(ValueError):
-        small_config(dump_round=0).validate()
+        small_config(dump_round=0)
     with pytest.raises(ValueError, match="threads"):
-        small_config(threads=2).validate()
+        small_config(threads=2)
     for shape in (dict(items=6), dict(users=0), dict(interactions_per_user=1), dict(latent_dim=0)):
         dataset = DatasetConfig(users=40, items=30, interactions_per_user=6)
         with pytest.raises(ValueError):
-            small_config(dataset=replace(dataset, **shape)).validate()
+            small_config(dataset=replace(dataset, **shape))
     def attacked(**fields):
         base = dict(kind="poisonfrs", fake_fraction=0.1, start_round=2, filler_count=2)
         return small_config(attack=AttackConfig(**{**base, **fields}))
 
     with pytest.raises(ValueError, match="filler_count"):
-        attacked(filler_count=30).validate()
+        attacked(filler_count=30)
     with pytest.raises(ValueError, match="filler_count"):
-        attacked(kind="random", filler_count=30).validate()
+        attacked(kind="random", filler_count=30)
     with pytest.raises(ValueError, match="popular_count"):
-        attacked(popular_count=31).validate()
+        attacked(popular_count=31)
     for target in ("3", 2.5, True, 30, -1):
         with pytest.raises(ValueError, match="target_item"):
-            small_config(attack=AttackConfig(target_item=target)).validate()
+            small_config(attack=AttackConfig(target_item=target))
     # start round is irrelevant without an active attack
-    small_config(rounds=5).validate()
+    small_config(rounds=5)
     # hics_z is only bounded when hics aggregates
-    small_config(dim=4, aggregator=AggregatorSpec(rule="median", hics_z=8)).validate()
+    small_config(dim=4, aggregator=AggregatorSpec(rule="median", hics_z=8))
     # attack sizes are only bounded when fakes attack; the largest that fit pass
-    small_config(attack=AttackConfig(filler_count=30, popular_count=31)).validate()
-    attacked(filler_count=29, popular_count=30, target_item=29).validate()
+    small_config(attack=AttackConfig(filler_count=30, popular_count=31))
+    attacked(filler_count=29, popular_count=30, target_item=29)
 
 
 @pytest.mark.parametrize(
@@ -545,7 +574,7 @@ def test_validate_rejects_bad_configs():
 )
 def test_validate_rejects_aggregator_parameters_that_fail_every_count(rule, field, value):
     with pytest.raises(ValueError, match=f"aggregator {field}"):
-        small_config(aggregator=AggregatorSpec(rule=rule, **{field: value})).validate()
+        small_config(aggregator=AggregatorSpec(rule=rule, **{field: value}))
 
 
 def test_metric_cadence_includes_final_round():
