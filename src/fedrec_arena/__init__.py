@@ -5,14 +5,7 @@ from .aggregation import (
     aggregate_round,
     aggregate_rows,
 )
-from .attack import (
-    AttackConfig,
-    AttackRuntime,
-    build_target,
-    estimate_popular,
-    make_baseline_fakes,
-    select_fillers,
-)
+from .attack import AttackConfig, AttackRuntime
 from .data import (
     EmptyDatasetError,
     InteractionDataset,
@@ -25,8 +18,6 @@ from .data import (
 )
 from .evaluation import (
     MetricsRecord,
-    UpdateDump,
-    dump_target_updates,
     footprint_stats,
     project_2d,
     rank_metrics,

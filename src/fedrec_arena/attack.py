@@ -15,6 +15,10 @@ a round as one block of rows.
 The three baseline attacks instead fabricate users (target item plus filler
 interactions) that join the user table and run the ordinary local-training
 path; they are granted popularity knowledge by construction.
+
+The helpers take their sizes as checked: ``AttackConfig`` and
+``ExperimentConfig.check_item_count`` refuse, before round 1, any kind, ``k``
+or filler count that does not fit the item count.
 """
 from __future__ import annotations
 
@@ -67,8 +71,6 @@ def estimate_popular(snapshot: np.ndarray, k: int) -> list[int]:
     Rationale: most items are unpopular, so the mean embedding points at
     unpopularity; popular items are the ones most unlike it.
     """
-    if not 1 <= k <= snapshot.shape[0]:
-        raise ValueError(f"k must be in [1, {snapshot.shape[0]}]")
     centroid = snapshot.mean(axis=0)
     alignment = snapshot @ centroid
     chosen = np.argsort(alignment, kind="stable")[:k]
@@ -80,10 +82,6 @@ def build_target(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the popular items' vectors (the minimizer of the mean squared
     distance to them) and its scaled-up version."""
-    if len(popular_set) == 0:
-        raise ValueError("popular_set must be nonempty")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     base = snapshot[sorted(popular_set)].mean(axis=0)
     return base, scale * base
 
@@ -93,8 +91,6 @@ def select_fillers(
 ) -> list[int]:
     """The f items that drifted furthest from the snapshot, excluding the
     target item; ties toward the lower id."""
-    if f < 0 or f >= snapshot.shape[0]:
-        raise ValueError(f"f must be in [0, {snapshot.shape[0] - 1}]")
     deviation = np.linalg.norm(snapshot - current, axis=1)
     order = np.argsort(-deviation, kind="stable")
     return order[order != target_item][:f].tolist()
@@ -119,10 +115,6 @@ def make_baseline_fakes(
     row of ``filler_count + 1`` each, the target first. They become the user
     table's last rows and run the regular local-training path.
     """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    if filler_count >= train_counts.size:
-        raise ValueError("filler_count must be smaller than the item count")
     pool = np.delete(np.arange(train_counts.size), target_item)
     by_popularity = pool[np.argsort(-train_counts[pool], kind="stable")]
 
@@ -179,12 +171,7 @@ class AttackRuntime:
 
     def observe_broadcast(self, embeddings: ItemEmbeddings) -> None:
         """Snapshot the model and fix the target when the start round's broadcast arrives."""
-        if (
-            self.config.kind == "poisonfrs"
-            and self.num_fakes > 0
-            and self.snapshot is None
-            and embeddings.round >= self.config.start_round
-        ):
+        if self.crafting(embeddings.round) and self.snapshot is None:
             self.snapshot = embeddings.matrix.copy()
             popular = estimate_popular(self.snapshot, self.config.popular_count)
             _, self.scaled_target = build_target(self.snapshot, popular, self.config.scale)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .aggregation import RULES, AggregatorSpec, aggregate_rows, degenerate_reason
 from .data import generate_synthetic, dump_dataset
+from .evaluation import project_2d
 from .federation import ConfigError, ExperimentConfig, SeedStreams, run_experiment
 
 log = logging.getLogger("fedrec_arena.cli")
@@ -151,34 +152,36 @@ def write_metrics_csv(path: Path, result) -> None:
 
 
 def write_dump_csv(path: Path, result) -> None:
-    dim = result.dumps[0].rows[0][2].shape[0]
-    header = "round,item,user,label,proj_x,proj_y," + ",".join(f"v{i}" for i in range(dim))
-    lines = [header]
-    for dump in result.dumps:
-        for (user, label, vec), proj in zip(dump.rows, dump.projection):
-            coords = ",".join(repr(float(x)) for x in vec)
-            lines.append(
-                f"{dump.round},{dump.item},{user},{label},{proj[0]!r},{proj[1]!r},{coords}"
-            )
+    """The dump round's target rows, one per contributor in ascending id (fakes from
+    ``num_genuine`` on), each with its 2-D projection; no file if the target got none."""
+    ledger = result.ledgers[result.config.dump_round - 1]
+    if not ledger.target_users.size:
+        log.warning(
+            "round %d: target item received no contributions, nothing to dump", ledger.round
+        )
+        return
+    rows = ledger.target_rows
+    dims = ",".join(f"v{i}" for i in range(rows.shape[1]))
+    lines = [f"round,item,user,label,proj_x,proj_y,{dims}"]
+    for user, vec, (x, y) in zip(ledger.target_users.tolist(), rows, project_2d(rows)):
+        label = "fake" if user >= result.num_genuine else "genuine"
+        coords = ",".join(repr(float(v)) for v in vec)
+        lines.append(f"{ledger.round},{result.target_item},{user},{label},{x!r},{y!r},{coords}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_summary(path: Path, resolved_config: dict, result) -> None:
-    final = result.metrics[-1] if result.metrics else None
+    final = result.metrics[-1]  # the final round always evaluates
     peak: dict[str, Any] = {}
     for k in result.config.topk:
-        series = [(rec.target_hr_at[k], rec.round) for rec in result.metrics]
-        if series:
-            value, rnd = max(series)
-            peak[str(k)] = {"value": value, "round": rnd}
+        value, rnd = max((rec.target_hr_at[k], rec.round) for rec in result.metrics)
+        peak[str(k)] = {"value": value, "round": rnd}
     summary = {
         "config": resolved_config,
         "target_item": result.target_item,
         "num_genuine": result.num_genuine,
         "num_fakes": result.num_fakes,
-        "final_metrics": None
-        if final is None
-        else {
+        "final_metrics": {
             "round": final.round,
             "target_hr": {str(k): v for k, v in final.target_hr_at.items()},
             "hr": {str(k): v for k, v in final.hr_at.items()},
@@ -219,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     write_metrics_csv(out_dir / "metrics.csv", result)
     write_summary(out_dir / "summary.json", resolved, result)
-    if result.dumps:
+    if config.dump_round is not None:
         write_dump_csv(out_dir / "target_updates.csv", result)
     print(
         f"run complete: {config.rounds} rounds, {result.num_genuine} genuine"

@@ -1,8 +1,9 @@
-"""Hit-ratio / NDCG metrics, update-footprint statistics, and raw update export.
+"""Hit-ratio / NDCG metrics, update-footprint statistics, and a 2-D projection of update rows.
 
 All computations are read-only over the user table and item embeddings.
 The target hit ratio counts genuine users only: fake users belong to the
-attacker, so scoring them would inflate the metric.
+attacker, so scoring them would inflate the metric. ``project_2d`` places
+the dump round's target rows (``RoundLedger.target_rows``) in the plane.
 """
 from __future__ import annotations
 
@@ -29,14 +30,6 @@ class MetricsRecord:
     target_hr_at: dict[int, float]
     ndcg_at: dict[int, float]
     footprint: FootprintStats
-
-
-@dataclass
-class UpdateDump:
-    round: int
-    item: int
-    rows: list[tuple[int, str, np.ndarray]]  # (user_id, label, update vector)
-    projection: np.ndarray  # (len(rows), 2)
 
 
 # (user, item) scores per block of users: 512 KB of float64, small enough that
@@ -124,20 +117,3 @@ def project_2d(rows: np.ndarray) -> np.ndarray:
         if nonzero.size and components[nonzero[0], j] < 0:
             components[:, j] = -components[:, j]
     return centered @ components
-
-
-def dump_target_updates(
-    users: np.ndarray,
-    rows: np.ndarray,
-    target_item: int,
-    num_genuine: int,
-    round_index: int,
-) -> UpdateDump:
-    """Every contributor's raw target update (``rows[i]`` is ``users[i]``'s) by contributor id,
-    with a 2-D principal-component projection per row; ids from ``num_genuine`` on are fake."""
-    if not len(users):
-        raise ValueError(f"target item {target_item} received no contributions")
-    order = np.argsort(users, kind="stable")
-    users, rows = users[order].tolist(), rows[order]
-    labels = ["fake" if u >= num_genuine else "genuine" for u in users]
-    return UpdateDump(round_index, target_item, list(zip(users, labels, rows)), project_2d(rows))

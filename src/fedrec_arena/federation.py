@@ -10,7 +10,9 @@ every touched item in one call.
 
 A run keeps no round's table: every round marks one (users, items) footprint
 matrix in place, and its ``RoundLedger`` keeps the target item's contributors
-and the items that fell back to the median.
+and the items that fell back to the median. The ledger of the dump round
+(``ExperimentConfig.dump_round``) also keeps the contributors' target rows,
+which is all that ``cli`` exports to ``target_updates.csv``.
 
 A run is refused one way, before round 1. Each config dataclass is frozen
 and checks its own fields when it is built; ``run_experiment`` checks what
@@ -25,7 +27,6 @@ results are bit-identical for a fixed seed.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -46,8 +47,6 @@ from .data import (
     parse_ratings,
 )
 from .model import ItemEmbeddings, UserProfile, UserTable, train_step
-
-log = logging.getLogger("fedrec_arena.federation")
 
 INIT_SCALE = 0.05  # embeddings start i.i.d. uniform on [-INIT_SCALE, INIT_SCALE]
 
@@ -193,7 +192,6 @@ class ExperimentResult:
     footprints: np.ndarray
     final_embeddings: ItemEmbeddings
     profiles: list[UserProfile]
-    dumps: list[evaluation.UpdateDump]
     wall_time: float
     warnings_count: int
 
@@ -345,26 +343,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     footprints = np.zeros((num_genuine + attack.num_fakes, embeddings.num_items), dtype=bool)
     metrics: list[evaluation.MetricsRecord] = []
     ledgers: list[RoundLedger] = []
-    dumps: list[evaluation.UpdateDump] = []
 
     for round_index in range(1, config.rounds + 1):
         attack.observe_broadcast(embeddings)
-        capture = config.dump_round == round_index
         embeddings, ledger = run_round(
-            embeddings, users, attack, spec, streams,
-            config.learning_rate, config.participation, bank, footprints, capture,
+            embeddings, users, attack, spec, streams, config.learning_rate,
+            config.participation, bank, footprints, config.dump_round == round_index,
         )
         ledgers.append(ledger)
         if not np.isfinite(embeddings.matrix).all():
             raise FloatingPointError(f"round {round_index}: item embeddings are not finite")
-
-        if capture:
-            if ledger.target_users.size:
-                dumps.append(evaluation.dump_target_updates(
-                    ledger.target_users, ledger.target_rows, target_item, num_genuine, round_index
-                ))
-            else:
-                log.warning("round %d: target item received no contributions, nothing to dump", round_index)
 
         if round_index % config.eval_every == 0 or round_index == config.rounds:
             if not np.isfinite(users.embeddings[:num_genuine]).all():
@@ -385,7 +373,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         footprints=footprints,
         final_embeddings=embeddings,
         profiles=users.profiles(num_genuine),
-        dumps=dumps,
         wall_time=time.perf_counter() - started,
         warnings_count=sum(l.fallbacks.size for l in ledgers),
     )

@@ -250,12 +250,6 @@ def test_bandwagon_ten_percent_popular():
     assert len(set(fillers.tolist())) == 10
 
 
-def test_baseline_filler_count_must_fit_catalog():
-    counts = toy_counts()
-    with pytest.raises(ValueError):
-        make_baseline_fakes("random", counts, 6, 5, np.random.default_rng(0), dim=4)
-
-
 def test_fake_ids_start_after_genuine():
     counts = toy_counts()
     rng = np.random.default_rng(0)

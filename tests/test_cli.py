@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import fields, replace
 
@@ -9,6 +10,7 @@ from fedrec_arena import (
     AggregatorSpec, AttackConfig, DatasetConfig, ExperimentConfig, run_experiment,
 )
 from fedrec_arena.cli import ConfigError, build_experiment, main, resolve_config
+from fedrec_arena.evaluation import project_2d
 
 MINIMAL = {
     "dataset": {"users": 30, "items": 25, "interactions_per_user": 5, "latent_dim": 3},
@@ -282,6 +284,8 @@ FIVE_ITEMS = "users=4 items=5\n" + "".join(
     "data, attack, message",
     [
         (FIVE_ITEMS, {"filler_count": 5}, "attack filler_count must lie in [0, items=5)"),
+        (FIVE_ITEMS, {"kind": "random", "filler_count": 5},
+         "attack filler_count must lie in [0, items=5)"),
         (FIVE_ITEMS, {"popular_count": 6}, "attack popular_count must lie in [1, items=5]"),
         (FIVE_ITEMS, {"target_item": 5}, "attack target_item 5 must lie in [0, items=5)"),
         ("users=2 items=3\n0\t0\t0\n1\t2\t0\n", {}, "dataset: no user has a held-out item"),
@@ -290,7 +294,7 @@ FIVE_ITEMS = "users=4 items=5\n" + "".join(
         (None, {}, "dataset.path: [Errno 2]"),
         ("users=2 items=3\n0\t0\t0\n0\t1\n", {}, "dataset.path: line 3: bad interaction line"),
     ],
-    ids=["filler_count", "popular_count", "target_item", "one_interaction_each",
+    ids=["filler_count", "baseline_filler_count", "popular_count", "target_item", "one_interaction_each",
          "every_user_has_the_target", "missing_file", "malformed_line"],
 )
 def test_run_file_dataset_that_cannot_run_exits_2_before_round_1(
@@ -340,6 +344,57 @@ def test_dump_updates_writes_rows(tmp_path):
     lines = (out / "target_updates.csv").read_text().strip().splitlines()
     assert lines[0].startswith("round,item,user,label,proj_x,proj_y,v0")
     assert any(",fake," in line for line in lines[1:])
+
+
+def dumped_run(tmp_path, document, dump_round):
+    """``run --dump-updates dump_round`` on ``document``, and the same run's result."""
+    config = write_config(tmp_path, document)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--dump-updates", str(dump_round)]) == 0
+    resolved = resolve_config(document)
+    resolved["eval"]["dump_round"] = dump_round
+    return out, run_experiment(build_experiment(resolved))
+
+
+def csv_float(text):
+    # proj_x and proj_y are written as the repr of a numpy scalar, which numpy 2
+    # spells "np.float64(0.5)"
+    return float(text.removeprefix("np.float64(").removesuffix(")"))
+
+
+def test_dump_csv_is_the_dump_round_ledger(tmp_path):
+    document = dict(MINIMAL, federation={"rounds": 10, "participation": 0.6}, attack={
+        "kind": "poisonfrs", "fake_fraction": 0.1, "start_round": 5, "filler_count": 2,
+        "noise_std": 0.3,
+    })
+    out, result = dumped_run(tmp_path, document, 7)
+    ledger = result.ledgers[6]
+    assert ledger.round == 7
+    lines = (out / "target_updates.csv").read_text().strip().splitlines()
+    assert lines[0] == "round,item,user,label,proj_x,proj_y," + ",".join(
+        f"v{i}" for i in range(result.config.dim))
+    rows = [line.split(",") for line in lines[1:]]
+    assert {(r[0], r[1]) for r in rows} == {("7", str(result.target_item))}
+    users = [int(r[2]) for r in rows]
+    assert users == ledger.target_users.tolist() == sorted(set(users))
+    labels = [r[3] for r in rows]
+    assert labels == ["fake" if u >= result.num_genuine else "genuine" for u in users]
+    assert {"fake", "genuine"} <= set(labels)
+    values = np.array([[float(x) for x in r[6:]] for r in rows])
+    assert np.array_equal(values, ledger.target_rows)
+    projection = np.array([[csv_float(x) for x in r[4:6]] for r in rows])
+    assert np.array_equal(projection, project_2d(ledger.target_rows))
+
+
+def test_dump_round_without_target_contributions_writes_no_file(tmp_path, caplog):
+    document = dict(MINIMAL, federation={"rounds": 10, "participation": 0.1})
+    out, result = dumped_run(tmp_path, document, 2)
+    assert result.ledgers[1].target_users.size == 0  # the premise: nobody uploaded for it
+    assert not (out / "target_updates.csv").exists()
+    assert (out / "metrics.csv").exists() and (out / "summary.json").exists()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["round 2: target item received no contributions, nothing to dump"]
 
 
 # ------------------------------------------------------------- synth

@@ -3,7 +3,6 @@ import pytest
 
 from fedrec_arena import evaluation
 from fedrec_arena.evaluation import (
-    dump_target_updates,
     footprint_stats,
     project_2d,
     rank_metrics,
@@ -365,21 +364,3 @@ def test_project_deterministic_sign_convention():
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(9, 4))
     assert project_2d(rows) == pytest.approx(project_2d(rows.copy()))
-
-
-# ------------------------------------------------------------- update dump
-
-def test_dump_orders_rows_and_labels():
-    users = np.array([5, 1, 3], dtype=np.int32)
-    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    dump = dump_target_updates(users, rows, target_item=7, num_genuine=4, round_index=42)
-    assert dump.item == 7 and dump.round == 42
-    assert [u for u, _, _ in dump.rows] == [1, 3, 5]
-    assert [label for _, label, _ in dump.rows] == ["genuine", "genuine", "fake"]
-    assert [vec.tolist() for _, _, vec in dump.rows] == [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
-    assert dump.projection.shape == (3, 2)
-
-
-def test_dump_requires_contributions():
-    with pytest.raises(ValueError):
-        dump_target_updates(np.empty(0, dtype=np.int32), np.empty((0, 2)), 0, 0, 1)
