@@ -1,12 +1,13 @@
 """Server-side aggregation rules, batched over the items of a round.
 
 A round's contribution table is rank-1: row r is ``scale[r] * sources[who[r]]``.
-``aggregate_round`` buckets the items by contributor count n, builds each
-bucket's (k, n, d) block from ``sources`` and runs the rule once over it along
-axis 1. A rule's preconditions depend only on n, so a bucket that fails them
-falls back to the median as a whole. HiCS carries a bank between rounds, an
-(items, d) array the caller owns. ``aggregate_rows`` runs one item's rows
-through ``aggregate_round``.
+``aggregate_round`` takes the rows in any item order and groups them itself:
+one stable sort buckets the items by contributor count n, keeping each item's
+rows in table order. It builds each bucket's (k, n, d) block from ``sources``
+and runs the rule once over it along axis 1. A rule's preconditions depend
+only on n, so a bucket that fails them falls back to the median as a whole.
+HiCS carries a bank between rounds, an (items, d) array the caller owns.
+``aggregate_rows`` runs one item's rows through ``aggregate_round``.
 """
 from __future__ import annotations
 
@@ -123,35 +124,32 @@ def aggregate_round(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate a round's contribution table under the spec's rule.
 
-    Row r is ``scale[r] * sources[who[r]]`` for item ``items[r]``; ``items``
-    is sorted, and every rule sees an item's rows in table order. ``bank``
-    is the HiCS bank, updated in place. Returns the touched item ids in
-    ascending order, their (touched, d) deltas, and the ids of the items
-    that fell back to the median.
+    Row r is ``scale[r] * sources[who[r]]`` for item ``items[r]``, in any
+    item order; every rule sees an item's rows in table order. ``bank`` is
+    the HiCS bank, updated in place. Returns the touched item ids in
+    ascending order, their (touched, d) deltas, and the int32 ids of the
+    items that fell back to the median, ascending.
     """
-    starts = np.flatnonzero(np.diff(items, prepend=-1))
-    counts = np.diff(np.append(starts, items.size))
-    touched = items[starts]
-    by_count = np.argsort(counts, kind="stable")  # each bucket is one run of it
-    sizes = counts[by_count]
-    edges = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1))
-    firsts = np.cumsum(sizes) - sizes  # each item's first row once the rows run bucket by bucket
-    regroup = np.arange(items.size) + np.repeat(starts[by_count] - firsts, sizes)
-    who, scale, firsts = who[regroup], scale[regroup], firsts.tolist()
-    deltas = np.empty((touched.size, sources.shape[1]))
-    degenerate = np.zeros(touched.size, dtype=bool)
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        bucket = by_count[lo:hi]
-        n = int(sizes[lo])
-        rows = slice(firsts[lo], firsts[lo] + (hi - lo) * n)
-        block = sources[who[rows]].reshape(hi - lo, n, -1)
-        block *= scale[rows].reshape(hi - lo, n, 1)
+    counts = np.bincount(items)
+    # the rows bucket by bucket, then item by item, each item's rows in table order
+    order = np.argsort(counts[items] * counts.size + items, kind="stable")
+    items, who, scale = items[order], who[order], scale[order]
+    sizes, items_per_size = np.unique(counts[counts > 0], return_counts=True)
+    ends = np.cumsum(sizes * items_per_size).tolist()
+    deltas = np.empty((counts.size, sources.shape[1]))  # row i: item i's delta
+    degenerate = np.zeros(counts.size, dtype=bool)
+    for n, k, hi in zip(sizes.tolist(), items_per_size.tolist(), ends):
+        rows = slice(hi - k * n, hi)
+        ids = items[hi - k * n : hi : n]
+        block = sources[who[rows]].reshape(k, n, -1)
+        block *= scale[rows].reshape(k, n, 1)
         if degenerate_reason(spec, n, sources.shape[1]) is None:
-            deltas[bucket] = _aggregate_block(spec, block, bank, touched[bucket])
+            deltas[ids] = _aggregate_block(spec, block, bank, ids)
         else:
-            deltas[bucket] = _median(block)
-            degenerate[bucket] = True
-    return touched, deltas, touched[degenerate]
+            deltas[ids] = _median(block)
+            degenerate[ids] = True
+    touched = np.flatnonzero(counts).astype(np.int32)
+    return touched, deltas[touched], np.flatnonzero(degenerate).astype(np.int32)
 
 
 def aggregate_rows(

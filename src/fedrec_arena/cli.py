@@ -25,9 +25,11 @@ from typing import Any, Optional, get_args, get_type_hints
 import numpy as np
 
 from .aggregation import RULES, AggregatorSpec, aggregate_rows, degenerate_reason
-from .data import generate_synthetic, dump_dataset
+from .data import dump_dataset
 from .evaluation import project_2d
-from .federation import ConfigError, ExperimentConfig, SeedStreams, run_experiment
+from .federation import (
+    ConfigError, DatasetConfig, ExperimentConfig, SeedStreams, resolve_dataset, run_experiment,
+)
 
 log = logging.getLogger("fedrec_arena.cli")
 
@@ -163,7 +165,8 @@ def write_dump_csv(path: Path, result) -> None:
     rows = ledger.target_rows
     dims = ",".join(f"v{i}" for i in range(rows.shape[1]))
     lines = [f"round,item,user,label,proj_x,proj_y,{dims}"]
-    for user, vec, (x, y) in zip(ledger.target_users.tolist(), rows, project_2d(rows)):
+    # tolist() gives Python floats, whose repr is the plain shortest round-trip number
+    for user, vec, (x, y) in zip(ledger.target_users.tolist(), rows, project_2d(rows).tolist()):
         label = "fake" if user >= result.num_genuine else "genuine"
         coords = ",".join(repr(float(v)) for v in vec)
         lines.append(f"{ledger.round},{result.target_item},{user},{label},{x!r},{y!r},{coords}")
@@ -233,14 +236,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        dataset = generate_synthetic(
-            args.users,
-            args.items,
-            args.latent_dim,
-            args.per_user,
-            args.skew,
-            SeedStreams(args.seed).synth(),
+        config = DatasetConfig(
+            users=args.users, items=args.items, latent_dim=args.latent_dim,
+            interactions_per_user=args.per_user, popularity_skew=args.skew,
         )
+        dataset = resolve_dataset(config, SeedStreams(args.seed))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,11 @@
 A run keeps its users in one ``UserTable``. A round trains every participant
 row at once, in place: one draw of every negative, one gradient pass. Its
 uploads form one rank-1 contribution table: parallel arrays of item ids,
-source rows and scales, sorted by (item, contributor), so every item's
-contributions are one contiguous run. Row k is ``scale[k] * sources[who[k]]``
-and is built only inside ``aggregation.aggregate_round``, which aggregates
-every touched item in one call.
+source rows and scales, in upload order (the trained rows in (item,
+contributor) order, then the crafted rows, fake by fake), so each item's
+contributors ascend. Row k is ``scale[k] * sources[who[k]]`` and is built
+only inside ``aggregation.aggregate_round``, which groups the rows by item
+itself and aggregates every touched item in one call.
 
 A run keeps no round's table: every round marks one (users, items) footprint
 matrix in place, and its ``RoundLedger`` keeps the target item's contributors
@@ -278,17 +279,12 @@ def run_round(
     fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, streams)
 
     # Row k of the table is scale[k] * sources[who[k]], never built here: the
-    # old participant embeddings, then the crafted rows at scale 1. Crafted
-    # fake ids exceed every participant id and training emits (item, user)
-    # order, so one stable sort by item orders the table by (item, contributor).
+    # old participant embeddings, then the crafted rows at scale 1.
     sources = np.concatenate((user_rows, fake_deltas))
-    source_ids = np.concatenate((rows.astype(np.int32), fake_ids))
+    contributors = np.concatenate((rows[who], fake_ids), dtype=np.int32)
     items = np.concatenate((items, fake_items))
     who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
     scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
-    order = np.argsort(items, kind="stable")
-    items, who, scale = items[order].astype(np.int32), who[order], scale[order]
-    contributors = source_ids[who]
     footprints[contributors, items] = True
 
     touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
@@ -300,10 +296,10 @@ def run_round(
             round_index, spec.rule, fallbacks.size, fallbacks.tolist(),
         )
 
-    # copies, so that the ledger keeps none of the round's upload index alive
-    lo, hi = np.searchsorted(items, [attack.target_item, attack.target_item + 1])
-    target_rows = sources[who[lo:hi]] * scale[lo:hi, None] if capture_target else None
-    ledger = RoundLedger(round_index, fallbacks, contributors[lo:hi].copy(), target_rows)
+    # ascending: training emits (item, user) order and the crafted rows come last
+    hits = np.flatnonzero(items == attack.target_item)
+    target_rows = sources[who[hits]] * scale[hits, None] if capture_target else None
+    ledger = RoundLedger(round_index, fallbacks, contributors[hits], target_rows)
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
 

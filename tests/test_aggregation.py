@@ -334,15 +334,22 @@ def check_rounds_against_reference(spec, rounds, num_items, d):
     A round is a table (items, who, scale, sources) whose row r is
     ``scale[r] * sources[who[r]]``. Every delta and bank row must be
     bit-identical, and the fallback ids must be the items the reference
-    warned about. Returns the fallback ids of every round.
+    warned about. The same table with its rows interleaved across items,
+    each item's rows still in their order, must give the same bits from
+    the same bank. Returns the fallback ids of every round.
     """
+    rng = np.random.default_rng(0)
     bank = np.zeros((num_items, d))
     state = {}
     seen = []
     for items, who, scale, sources in rounds:
         built = sources[who] * scale[:, None]
         ids = np.unique(items).tolist()
+        mixed, mixed_bank = interleaved(rng, items), bank.copy()
         touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
+        again = aggregate_round(spec, items[mixed], who[mixed], scale[mixed], sources, mixed_bank)
+        assert all(same_bits(a, b) for a, b in zip(again, (touched, deltas, fallbacks)))
+        assert same_bits(mixed_bank, bank)
         assert touched.tolist() == ids
         warned = []
         for item, got in zip(ids, deltas):
@@ -356,6 +363,16 @@ def check_rounds_against_reference(spec, rounds, num_items, d):
             assert same_bits(bank[item], entry), item
         seen.append(warned)
     return seen
+
+
+def interleaved(rng, items):
+    """A row order that mixes the table's items at random but keeps each
+    item's rows in table order."""
+    mixed = rng.permutation(items)
+    order = np.empty(items.size, np.int64)
+    order[np.argsort(mixed, kind="stable")] = np.argsort(items, kind="stable")
+    assert np.array_equal(items[order], mixed)
+    return order
 
 
 def rank1_round(rng, counts, d, size=1.0):

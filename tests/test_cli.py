@@ -357,12 +357,6 @@ def dumped_run(tmp_path, document, dump_round):
     return out, run_experiment(build_experiment(resolved))
 
 
-def csv_float(text):
-    # proj_x and proj_y are written as the repr of a numpy scalar, which numpy 2
-    # spells "np.float64(0.5)"
-    return float(text.removeprefix("np.float64(").removesuffix(")"))
-
-
 def test_dump_csv_is_the_dump_round_ledger(tmp_path):
     document = dict(MINIMAL, federation={"rounds": 10, "participation": 0.6}, attack={
         "kind": "poisonfrs", "fake_fraction": 0.1, "start_round": 5, "filler_count": 2,
@@ -383,7 +377,7 @@ def test_dump_csv_is_the_dump_round_ledger(tmp_path):
     assert {"fake", "genuine"} <= set(labels)
     values = np.array([[float(x) for x in r[6:]] for r in rows])
     assert np.array_equal(values, ledger.target_rows)
-    projection = np.array([[csv_float(x) for x in r[4:6]] for r in rows])
+    projection = np.array([[float(x) for x in r[4:6]] for r in rows])
     assert np.array_equal(projection, project_2d(ledger.target_rows))
 
 
@@ -429,6 +423,15 @@ def test_synth_zero_latent_dim_exits_2(tmp_path, capsys):
     assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5",
                  "--latent-dim", "0", "--output", str(out)]) == 2
     assert "latent_dim must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("skew", ["inf", "nan"])
+def test_synth_non_finite_skew_exits_2(tmp_path, capsys, skew):
+    out = tmp_path / "x.tsv"
+    assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5",
+                 f"--skew={skew}", "--output", str(out)]) == 2
+    assert "dataset popularity_skew must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

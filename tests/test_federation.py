@@ -352,8 +352,8 @@ def test_round_matches_per_user_oracle(monkeypatch, participation, kind):
         ids = np.array([s.user_id for s in shadows], dtype=np.int64)
         contributors = np.concatenate((ids, fakes))[who]
         got = {(int(i), int(u)): r for i, u, r in zip(items, contributors, rows)}
-        by_item_then_user = np.lexsort((contributors, items))
-        assert np.array_equal(by_item_then_user, np.arange(items.size))
+        for item in np.unique(items):  # the order that keeps every item's sum bit-identical
+            assert np.all(np.diff(contributors[items == item]) > 0), item
         assert got.keys() == expected.keys() | crafted.keys()
         assert all(np.array_equal(got[key], d) for key, d in crafted.items())
         largest = max(np.abs(d).max() for d in expected.values())
