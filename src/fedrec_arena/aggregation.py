@@ -2,11 +2,13 @@
 
 A round's contribution table is rank-1: row r is ``scale[r] * sources[who[r]]``.
 ``aggregate_round`` takes the rows in any item order and groups them itself:
-one stable sort buckets the items by contributor count n, keeping each item's
-rows in table order. It builds each bucket's (k, n, d) block from ``sources``
-and runs the rule once over it along axis 1. A rule's preconditions depend
-only on n, so a bucket that fails them falls back to the median as a whole.
-HiCS carries a bank between rounds, an (items, d) array the caller owns.
+one stable argsort of the row indices buckets the items by contributor count
+n, keeping each item's rows in table order. No table column is copied: each
+bucket's (k, n, d) block is gathered from ``sources`` through its slice of
+that permutation, and the rule runs once over it along axis 1. A rule's
+preconditions depend only on n, so a bucket that fails them falls back to the
+median as a whole. HiCS carries a bank between rounds, an (items, d) array the
+caller owns.
 ``aggregate_rows`` runs one item's rows through ``aggregate_round``.
 """
 from __future__ import annotations
@@ -133,14 +135,13 @@ def aggregate_round(
     counts = np.bincount(items)
     # the rows bucket by bucket, then item by item, each item's rows in table order
     order = np.argsort(counts[items] * counts.size + items, kind="stable")
-    items, who, scale = items[order], who[order], scale[order]
     sizes, items_per_size = np.unique(counts[counts > 0], return_counts=True)
     ends = np.cumsum(sizes * items_per_size).tolist()
     deltas = np.empty((counts.size, sources.shape[1]))  # row i: item i's delta
     degenerate = np.zeros(counts.size, dtype=bool)
     for n, k, hi in zip(sizes.tolist(), items_per_size.tolist(), ends):
-        rows = slice(hi - k * n, hi)
-        ids = items[hi - k * n : hi : n]
+        rows = order[hi - k * n : hi]
+        ids = items[rows[::n]]
         block = sources[who[rows]].reshape(k, n, -1)
         block *= scale[rows].reshape(k, n, 1)
         if degenerate_reason(spec, n, sources.shape[1]) is None:

@@ -235,19 +235,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    out = Path(args.output)
     try:
         config = DatasetConfig(
             users=args.users, items=args.items, latent_dim=args.latent_dim,
             interactions_per_user=args.per_user, popularity_skew=args.skew,
         )
+        out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --output fails before any work
         dataset = resolve_dataset(config, SeedStreams(args.seed))
+        with out.open("w", encoding="utf-8") as fp:
+            dump_dataset(dataset, fp)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fp:
-        dump_dataset(dataset, fp)
+    except OSError as exc:
+        print(f"error: synth failed: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {dataset.users.size} interactions to {out}")
     return 0
 

@@ -275,6 +275,7 @@ def run_round(
     items, who, scale, stepped = train_step(
         user_rows, embeddings.matrix, owner, pos, neg, learning_rate
     )
+    del owner, pos, neg  # O(pairs) arrays that no later step reads
     users.embeddings[rows] = stepped
     fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, streams)
 

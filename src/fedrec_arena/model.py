@@ -99,32 +99,37 @@ def train_step(
 
     Pair r is (``pos[r]``, ``neg[r]``) of user row ``users[owner[r]]``, with
     ``owner`` ascending. Returns ``(items, who, scale, stepped)``: the upload
-    table, one row per (item, user) in (item, user) order, whose row k is
-    the delta ``scale[k] * users[who[k]]`` = -lr * dL/dv for item
-    ``items[k]`` and user row ``who[k]``; and the user matrix after each
-    user's step of -lr * dL/du from the old point. Rows whose delta is
-    exactly zero are omitted (only nonzero entries are uploaded).
+    table, one row per (item, user) in (item, user) order, whose row k is the
+    delta ``scale[k] * users[who[k]]`` = -lr * dL/dv for item ``items[k]`` and
+    user row ``who[k]``, its +-c terms summed in pair order; and the user matrix
+    after each user's step of -lr * dL/du from the old point. Rows whose delta
+    is exactly zero are omitted (only nonzero entries are uploaded).
     """
     num_users = len(users)
     # dL/dmargin = -sigmoid(-margin); positives gain +c*u, negatives -c*u
     c, stepped = np.empty(owner.size), users.copy()
-    # blocks of whole users, ~1 MB of (pair, d) temporaries each: peak memory stays put
+    # blocks of whole users, ~256 kB of (pair, d) temporaries each: peak memory stays put
     firsts = np.flatnonzero(np.diff(owner, prepend=-1))
-    cuts = firsts[np.flatnonzero(np.diff(firsts // max(1, 2**17 // users.shape[1]), prepend=-1))]
+    cuts = firsts[np.flatnonzero(np.diff(firsts // max(1, 2**15 // users.shape[1]), prepend=-1))]
     for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [owner.size]):
         diff = matrix[pos[lo:hi]] - matrix[neg[lo:hi]]
         c[lo:hi] = _sigmoid(-np.einsum("nd,nd->n", diff, users[owner[lo:hi]]))
         diff *= c[lo:hi, None]
         heads = np.flatnonzero(np.diff(owner[lo:hi], prepend=-1))
         stepped[owner[lo + heads]] += learning_rate * np.add.reduceat(diff, heads, axis=0)
-    # every (item, user) delta is (sum of its +-c coefficients) * u
-    keys = np.concatenate((pos * num_users + owner, neg * num_users + owner))
+    # term 2r is pair r's positive, 2r + 1 its negative. A stable sort by item
+    # alone (radix for keys of <= 16 bits) keeps owner ascending: (item, user)
+    # order, each key's terms in pair order. Arrays go once read, for peak memory
+    keys = np.stack((pos, neg), axis=1).ravel().astype(np.min_scalar_type(len(matrix) - 1))
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys = owner[order >> 1] + num_users * keys[order].astype(np.int64)
+    terms = np.stack((c, -c), axis=1).ravel()[order]
+    del order
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    scale = learning_rate * np.add.reduceat(np.concatenate((c, -c))[order], starts)
-    items, who = np.divmod(keys[starts], num_users)
+    scale = learning_rate * np.add.reduceat(terms, starts)
+    keys = keys[starts]
+    del terms, starts
     # a row scale * u is all zero exactly when scale * max|u| rounds to zero
-    largest = np.abs(users).max(axis=1)[who]
-    kept = (scale != 0.0) & (np.abs(scale) * largest != 0.0)
-    return items[kept], who[kept], scale[kept], stepped
+    kept = (scale != 0.0) & (np.abs(scale) * np.abs(users).max(axis=1)[keys % num_users] != 0.0)
+    items, who = np.divmod(keys[kept], num_users)
+    return items, who, scale[kept], stepped

@@ -435,6 +435,18 @@ def test_synth_non_finite_skew_exits_2(tmp_path, capsys, skew):
     assert not out.exists()
 
 
+def test_synth_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x.tsv"  # its directory is a file
+    assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth failed: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "" and not out.exists()
+
+
 def test_run_on_synth_file_dataset(tmp_path):
     ds_path = tmp_path / "ds.tsv"
     assert main(["synth", "--users", "25", "--items", "20", "--per-user", "5",

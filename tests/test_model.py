@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,10 +181,10 @@ def test_local_train_updates_user_embedding_from_old_point():
 
 
 def test_train_step_in_blocks_matches_each_user_stepped_alone():
-    # 2**14 dims leave room for 8 pairs per block: users share blocks, and a
+    # 2**12 dims leave room for 8 pairs per block: users share blocks, and a
     # user with more pairs than that fills a block alone
     rng = np.random.default_rng(7)
-    num_users, num_items, dim = 12, 30, 2**14
+    num_users, num_items, dim = 12, 30, 2**12
     users = 0.01 * rng.normal(size=(num_users, dim))
     matrix = 0.01 * rng.normal(size=(num_items, dim))
     owner = np.repeat(np.arange(num_users), rng.integers(1, 20, size=num_users))
@@ -198,6 +199,44 @@ def test_train_step_in_blocks_matches_each_user_stepped_alone():
         assert np.array_equal(alone[0], items[who == u])
         assert np.array_equal(alone[2], scale[who == u])
         assert np.array_equal(alone[3][0], stepped[u])
+
+
+@pytest.mark.parametrize("num_items", [100, 300])
+def test_train_step_does_not_depend_on_the_sort_key_width(num_items):
+    # up to 2**16 items the (item, user) sort runs on 8- or 16-bit keys; padded
+    # past 2**16 with rows no pair names, on wider ones
+    rng = np.random.default_rng(num_items)
+    num_users, dim = 40, 8
+    users = rng.normal(size=(num_users, dim))
+    matrix = rng.normal(size=(num_items, dim))
+    owner = np.repeat(np.arange(num_users), rng.integers(0, 15, size=num_users))
+    pos = rng.integers(0, num_items, size=owner.size)
+    neg = rng.integers(0, num_items, size=owner.size)
+    padded = np.concatenate((matrix, np.zeros((2**16 + 1 - num_items, dim))))
+    narrow = train_step(users, matrix, owner, pos, neg, 0.05)
+    wide = train_step(users, padded, owner, pos, neg, 0.05)
+    for a, b in zip(narrow, wide):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_train_step_peak_memory_stays_a_few_pair_arrays():
+    # 2 000 users x 50 pairs at d = 32: the (item, user) grouping may hold
+    # only a few arrays of one int64 per pair's positive and negative at once
+    rng = np.random.default_rng(0)
+    num_users, per_user, num_items, dim = 2000, 50, 1000, 32
+    users = rng.normal(size=(num_users, dim))
+    matrix = rng.normal(size=(num_items, dim))
+    owner = np.repeat(np.arange(num_users), per_user)
+    pos = rng.integers(0, num_items // 2, size=owner.size)
+    neg = rng.integers(num_items // 2, num_items, size=owner.size)
+    tracemalloc.start()
+    try:
+        train_step(users, matrix, owner, pos, neg, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entry_array = 2 * owner.size * 8
+    assert peak < 8 * entry_array, peak / entry_array
 
 
 # ---------------------------------------------------------------- ranking
