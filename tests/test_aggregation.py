@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -448,6 +449,72 @@ def test_krum_degenerate_in_one_bucket_only():
     counts = [2, 4, 5, 2, 4, 5]  # n - m - 2 < 1 only for n = 2
     fallbacks = check_rounds_against_reference(spec, [rank1_round(rng, counts, 3)], 6, 3)
     assert fallbacks == [[0, 3]]
+
+
+# Krum scores a bucket of k items with n rows each in blocks of
+# max(1, 2**15 // (k * n)) rows: 87 rows at n = 375, 32 at 1 000, 13 at 2 500,
+# and one row a block once k * n passes 2**15.
+
+@pytest.mark.parametrize(
+    "counts", [[375], [1000], [2500], [1000] * 35], ids=["375", "1000", "2500", "35x1000"]
+)
+def test_krum_in_row_blocks_selects_the_reference_row(counts):
+    rng = np.random.default_rng(17)
+    spec = AggregatorSpec(rule="krum", krum_m=30)
+    check_rounds_against_reference(spec, [rank1_round(rng, counts, 8)], len(counts), 8)
+
+
+def test_krum_with_a_fake_row_repeated_across_row_blocks_selects_the_reference_row():
+    # like fakes' uploads: one crafted row, each copy over a source row of its
+    # own at scale 1, here spread over the 32-row blocks of n = 1 000
+    rng = np.random.default_rng(18)
+    n, d = 1000, 8
+    copies = np.arange(5, n, 97)
+    crafted = np.tile(0.1 * rng.normal(size=(1, d)), (copies.size, 1))
+    sources = np.concatenate([rng.normal(size=(n, d)), crafted])
+    who = rng.permutation(n)
+    who[copies] = n + np.arange(copies.size)
+    scale = rng.uniform(0.5, 2.0, n)
+    scale[copies] = 1.0
+    spec = AggregatorSpec(rule="krum", krum_m=copies.size)
+    table = (np.zeros(n, np.int32), who, scale, sources)
+    check_rounds_against_reference(spec, [table], 1, d)
+    (out,) = aggregate_round(spec, *table, None)[1]
+    assert same_bits(out, sources[n])  # a copy wins
+
+
+def test_krum_exact_tie_across_row_blocks_goes_to_the_lower_index():
+    # integer rows and their negations: every distance and score is exact, and
+    # a row and its negation score the same
+    rng = np.random.default_rng(19)
+    half = rng.integers(-50, 51, size=(200, 3))
+    rows = np.concatenate([half, -half])
+    m = 10
+    sq_dist = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(sq_dist, np.iinfo(np.int64).max)
+    sums = np.sort(sq_dist, axis=1)[:, : len(rows) - m - 2].sum(axis=1)
+    best = np.flatnonzero(sums == sums.min())
+    assert best.tolist() == [best[0], best[0] + 200]  # one tied pair, nothing else
+    rest = rng.permutation(np.setdiff1d(np.arange(len(rows)), best))
+    for first, second in (best, best[::-1]):
+        # positions 10 and 300 fall in different blocks of 81 rows (n = 400)
+        order = np.insert(rest, [10, 299], [first, second])
+        assert order[10] == first and order[300] == second
+        out, fell_back = aggregate_rows(krum(m), rows[order].astype(float))
+        assert not fell_back and out.tolist() == rows[first].tolist()
+
+
+def test_krum_peak_memory_stays_within_its_row_blocks():
+    # one item of 2 000 rows at d = 32: the block is 512 kB, the distances
+    # n x n = 32 MB if built whole
+    rows = np.random.default_rng(20).normal(size=(2000, 32))
+    tracemalloc.start()
+    try:
+        aggregate_rows(AggregatorSpec(rule="krum", krum_m=30), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_trimmed_mean_default_beta_across_twenty():
