@@ -42,11 +42,13 @@ class AggregatorSpec:
             raise ValueError(f"unknown aggregator.rule {self.rule!r}")
         # each of these fails the rule at every contributor count
         if not self.clip_bound > 0:
-            raise ValueError(f"aggregator clip_bound must be > 0, got {self.clip_bound}")
+            raise ValueError(f"aggregator.clip_bound must be > 0, got {self.clip_bound}")
         if self.trim_beta is not None and self.trim_beta < 0:
-            raise ValueError(f"aggregator trim_beta must be >= 0, got {self.trim_beta}")
+            raise ValueError(f"aggregator.trim_beta must be >= 0, got {self.trim_beta}")
         if self.krum_m is not None and self.krum_m < 0:
-            raise ValueError(f"aggregator krum_m must be >= 0, got {self.krum_m}")
+            raise ValueError(f"aggregator.krum_m must be >= 0, got {self.krum_m}")
+        if self.hics_z < 1:
+            raise ValueError(f"aggregator.hics_z must be >= 1, got {self.hics_z}")
 
 
 def _shrink(norms: np.ndarray, limit: float | np.ndarray) -> np.ndarray:
@@ -68,15 +70,12 @@ def _trim(spec: AggregatorSpec, n: int) -> int:
     return spec.trim_beta if spec.trim_beta is not None else max(1, n // 10)
 
 
-def degenerate_reason(spec: AggregatorSpec, n: int, d: int) -> Optional[str]:
-    """Why the spec's rule cannot aggregate n contributions of dimension d,
-    or None when it can."""
+def degenerate_reason(spec: AggregatorSpec, n: int) -> Optional[str]:
+    """Why the spec's rule cannot aggregate n contributions, or None when it can."""
     if spec.rule == "trimmed_mean" and 2 * (beta := _trim(spec, n)) >= n:
         return f"2*beta={2 * beta} must be < n={n}"
     if spec.rule == "krum" and n - (spec.krum_m or 0) - 2 < 1:
         return f"krum needs n-m-2 >= 1, got n={n}, m={spec.krum_m or 0}"
-    if spec.rule == "hics" and not 1 <= spec.hics_z <= d:
-        return f"z must be in [1, {d}], got {spec.hics_z}"
     return None
 
 
@@ -85,9 +84,9 @@ def _aggregate_block(spec: AggregatorSpec, block: np.ndarray, bank, ids) -> np.n
 
     The median is the lower one; Krum ties go to the lowest index. HiCS adds
     the rows' sum to ``bank[ids]``, keeps the z bank coordinates of largest
-    magnitude (ties toward the lower index), clips the rows restricted to them
-    to their mean norm, averages, and drains the output times n from the bank
-    in place. The caller has checked ``degenerate_reason``.
+    magnitude (ties toward the lower index; all d if z > d), clips the rows
+    restricted to them to their mean norm, averages, and drains the output
+    times n from the bank in place. The caller has checked ``degenerate_reason``.
 
     Krum works through the rows in blocks of max(1, 2**15 // (k * n)): a
     block's squared distances to every row are built, sorted in place and
@@ -127,18 +126,17 @@ def _aggregate_block(spec: AggregatorSpec, block: np.ndarray, bank, ids) -> np.n
     if spec.rule == "clip":
         norms = np.linalg.norm(block, axis=2)
         return (block * _shrink(norms, spec.clip_bound)[:, :, None]).sum(axis=1) / n
-    if spec.rule == "hics":
-        rows = bank[ids] + block.sum(axis=1)
-        order = np.argsort(-np.abs(rows), axis=1, kind="stable")
-        keep = np.argsort(order, axis=1) < spec.hics_z  # the z coordinates ranked first
-        sparse = np.where(keep[:, None, :], block, 0.0)
-        norms = np.linalg.norm(sparse, axis=2)
-        shrink = _shrink(norms, norms.mean(axis=1)[:, None])
-        output = (sparse * shrink[:, :, None]).sum(axis=1) / n
-        rows[keep] -= output[keep] * n
-        bank[ids] = rows
-        return output
-    raise ValueError(f"unknown aggregation rule {spec.rule!r}")
+    # hics
+    rows = bank[ids] + block.sum(axis=1)
+    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    keep = np.argsort(order, axis=1) < spec.hics_z  # the z coordinates ranked first
+    sparse = np.where(keep[:, None, :], block, 0.0)
+    norms = np.linalg.norm(sparse, axis=2)
+    shrink = _shrink(norms, norms.mean(axis=1)[:, None])
+    output = (sparse * shrink[:, :, None]).sum(axis=1) / n
+    rows[keep] -= output[keep] * n
+    bank[ids] = rows
+    return output
 
 
 def aggregate_round(
@@ -169,7 +167,7 @@ def aggregate_round(
         ids = items[rows[::n]]
         block = sources[who[rows]].reshape(k, n, -1)
         block *= scale[rows].reshape(k, n, 1)
-        if degenerate_reason(spec, n, sources.shape[1]) is None:
+        if degenerate_reason(spec, n) is None:
             deltas[ids] = _aggregate_block(spec, block, bank, ids)
         else:
             deltas[ids] = _median(block)

@@ -16,9 +16,9 @@ The three baseline attacks instead fabricate users (target item plus filler
 interactions) that join the user table and run the ordinary local-training
 path; they are granted popularity knowledge by construction.
 
-The helpers take their sizes as checked: ``AttackConfig`` and
-``ExperimentConfig.check_item_count`` refuse, before round 1, any kind, ``k``
-or filler count that does not fit the item count.
+The helpers take their sizes as checked, before round 1: ``AttackConfig``
+refuses a kind, size or target type that no run takes, and ``ExperimentConfig``
+a start round or ``k``, filler count or target that does not fit the run.
 """
 from __future__ import annotations
 
@@ -52,14 +52,21 @@ class AttackConfig:
             raise ValueError(f"unknown attack.kind {self.kind!r}")
         # written so that NaN fails each check too
         if not 0 <= self.fake_fraction < math.inf:
-            raise ValueError(f"attack fake_fraction must lie in [0, inf), got {self.fake_fraction}")
+            raise ValueError(f"attack.fake_fraction must lie in [0, inf), got {self.fake_fraction}")
         if not 0 < self.scale < math.inf:
-            raise ValueError(f"attack lambda must lie in (0, inf), got {self.scale}")
+            raise ValueError(f"attack.lambda must lie in (0, inf), got {self.scale}")
         if not 0 <= self.noise_std < math.inf:
-            raise ValueError(f"attack noise_std must lie in [0, inf), got {self.noise_std}")
+            raise ValueError(f"attack.noise_std must lie in [0, inf), got {self.noise_std}")
+        target = self.target_item
+        if isinstance(target, bool) or not isinstance(target, (int, np.integer, type(None))):
+            raise ValueError(f"attack.target_item must be an integer item id, got {target!r}")
+
+    @property
+    def attacking(self) -> bool:
+        return self.kind != "none" and self.fake_fraction > 0
 
     def num_fakes(self, num_genuine: int) -> int:
-        if self.kind == "none" or self.fake_fraction == 0:
+        if not self.attacking:
             return 0
         return max(1, math.ceil(self.fake_fraction * num_genuine))
 

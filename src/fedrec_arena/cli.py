@@ -277,18 +277,14 @@ def cmd_aggcheck(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = AggregatorSpec(
-            rule=args.rule,
-            trim_beta=args.beta,
-            krum_m=args.m,
-            clip_bound=args.bound,
-            hics_z=min(args.z, rows[0].size),
+            rule=args.rule, trim_beta=args.beta, krum_m=args.m, clip_bound=args.bound, hics_z=args.z
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out, fell_back = aggregate_rows(spec, rows)
     if fell_back:
-        reason = degenerate_reason(spec, len(rows), rows[0].size)
+        reason = degenerate_reason(spec, len(rows))
         log.warning(f"item 0: {spec.rule} degenerate ({reason}); falling back to median")
     print(",".join(f"{x:.9g}" for x in out))
     return 0

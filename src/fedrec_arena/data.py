@@ -150,13 +150,13 @@ def draw_round_pairs(
 def check_synthetic_shape(n_users: int, n_items: int, latent_dim: int, per_user: int) -> None:
     """Reject a synthetic shape that generate_synthetic cannot draw."""
     if latent_dim < 1:
-        raise ValueError("latent_dim must be >= 1")
+        raise ValueError("dataset.latent_dim must be >= 1")
     if per_user < 2:
-        raise ValueError("interactions_per_user must be >= 2")
+        raise ValueError("dataset.interactions_per_user must be >= 2")
     if n_items <= per_user:
-        raise ValueError("n_items must exceed interactions_per_user")
+        raise ValueError("dataset.items must exceed dataset.interactions_per_user")
     if n_users < 1:
-        raise ValueError("n_users must be >= 1")
+        raise ValueError("dataset.users must be >= 1")
 
 
 def generate_synthetic(
@@ -173,10 +173,9 @@ def generate_synthetic(
     a Gumbel-perturbed top-k of ``affinity + popularity``, i.e. a sequential
     sample without replacement proportional to
     exp(affinity) * (popularity_rank + 1) ** -popularity_skew.
-    The per-user sampling sequence is the order key.
+    The per-user sampling sequence is the order key. The shape is one that
+    ``check_synthetic_shape`` accepts, as ``DatasetConfig`` has checked.
     """
-    check_synthetic_shape(n_users, n_items, latent_dim, interactions_per_user)
-
     user_factors = rng.normal(0.0, 1.0, size=(n_users, latent_dim))
     item_factors = rng.normal(0.0, 1.0, size=(n_items, latent_dim))
     popularity_rank = rng.permutation(n_items)  # rank 0 = most popular

@@ -15,11 +15,15 @@ and the items that fell back to the median. The ledger of the dump round
 (``ExperimentConfig.dump_round``) also keeps the contributors' target rows,
 which is all that ``cli`` exports to ``target_updates.csv``.
 
-A run is refused one way, before round 1. Each config dataclass is frozen
-and checks its own fields when it is built; ``run_experiment`` checks what
-needs the data once, at setup: that the dataset file opens and parses, that
-the attack fits its item count, that some user has a held-out item and that
-some user never interacted with the target. Each such refusal is a ``ConfigError``.
+A run is refused one way, before round 1. Each config dataclass is frozen and
+checks its own fields when it is built, among them the synthetic shape
+(``DatasetConfig``), the target's type (``AttackConfig``) and hics_z >= 1
+(``AggregatorSpec``); ``ExperimentConfig`` checks what crosses sections: hics_z
+<= dim under hics, the start round and a synthetic item count. ``run_experiment``
+checks what needs the data once, at setup: that the dataset file opens and
+parses, that the attack fits its item count, that some user has a held-out
+item and that some user never interacted with the target. Each such refusal
+is a ``ConfigError``.
 
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
@@ -104,11 +108,13 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "file"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ValueError(f"unknown dataset.kind {self.kind!r}")
         if self.kind == "file" and not self.path:
-            raise ValueError("dataset kind 'file' requires a path")
+            raise ValueError("dataset.kind 'file' requires a dataset.path")
         if not math.isfinite(self.popularity_skew):
-            raise ValueError(f"dataset popularity_skew must be finite, got {self.popularity_skew}")
+            raise ValueError(f"dataset.popularity_skew must be finite, got {self.popularity_skew}")
+        if self.kind == "synthetic":
+            check_synthetic_shape(self.users, self.items, self.latent_dim, self.interactions_per_user)
 
 
 @dataclass(frozen=True)
@@ -145,32 +151,24 @@ class ExperimentConfig:
             raise ValueError("every eval.topk entry must be >= 1")
         if self.dump_round is not None and not 1 <= self.dump_round <= self.rounds:
             raise ValueError("eval.dump_round must lie in [1, federation.rounds]")
-        if self.aggregator.rule == "hics" and not 1 <= self.aggregator.hics_z <= self.dim:
-            raise ValueError(f"aggregator hics_z must lie in [1, model.dim={self.dim}]")
-        if self._attacking() and not 1 <= self.attack.start_round <= self.rounds:
-            raise ValueError("attack start_round must lie in [1, federation.rounds]")
-        target = self.attack.target_item
-        if isinstance(target, bool) or not isinstance(target, (int, np.integer, type(None))):
-            raise ValueError(f"attack target_item must be an integer item id, got {target!r}")
+        if self.aggregator.rule == "hics" and self.aggregator.hics_z > self.dim:
+            raise ValueError(f"aggregator.hics_z must be <= model.dim={self.dim} under hics")
+        if self.attack.attacking and not 1 <= self.attack.start_round <= self.rounds:
+            raise ValueError("attack.start_round must lie in [1, federation.rounds]")
         if self.dataset.kind == "synthetic":
-            ds = self.dataset
-            check_synthetic_shape(ds.users, ds.items, ds.latent_dim, ds.interactions_per_user)
-            self.check_item_count(ds.items)
-
-    def _attacking(self) -> bool:
-        return self.attack.kind != "none" and self.attack.fake_fraction > 0
+            self.check_item_count(self.dataset.items)
 
     def check_item_count(self, num_items: int) -> None:
         """Reject a target item or attack size that does not fit ``num_items`` items."""
         target = self.attack.target_item
         if target is not None and not 0 <= target < num_items:
-            raise ConfigError(f"attack target_item {target} must lie in [0, items={num_items})")
-        if not self._attacking():
+            raise ConfigError(f"attack.target_item {target} must lie in [0, items={num_items})")
+        if not self.attack.attacking:
             return
         if not 0 <= self.attack.filler_count < num_items:
-            raise ConfigError(f"attack filler_count must lie in [0, items={num_items})")
+            raise ConfigError(f"attack.filler_count must lie in [0, items={num_items})")
         if self.attack.kind == "poisonfrs" and not 1 <= self.attack.popular_count <= num_items:
-            raise ConfigError(f"attack popular_count must lie in [1, items={num_items}]")
+            raise ConfigError(f"attack.popular_count must lie in [1, items={num_items}]")
 
 
 @dataclass

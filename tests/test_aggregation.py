@@ -539,6 +539,19 @@ def test_hics_bank_over_three_rounds_with_a_skipped_item(z):
     assert check_rounds_against_reference(spec, tables, 3, d) == [[], [], []]
 
 
+def test_hics_z_above_d_keeps_every_coordinate_like_z_equal_d():
+    rng = np.random.default_rng(15)
+    d = 4
+    tables = [rank1_round(rng, [3, 1, 5, 2], d) for _ in range(3)]
+    banks = {z: np.zeros((4, d)) for z in (d, d + 1, d + 5)}
+    for table in tables:
+        want = aggregate_round(AggregatorSpec(rule="hics", hics_z=d), *table, banks[d])
+        for z in (d + 1, d + 5):
+            got = aggregate_round(AggregatorSpec(rule="hics", hics_z=z), *table, banks[z])
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+            assert same_bits(banks[z], banks[d])
+
+
 @pytest.mark.parametrize("spec", ALL_RULES, ids=RULE_IDS)
 def test_round_with_huge_fake_rows_beside_zero_rows_matches_reference(spec):
     rng = np.random.default_rng(16)

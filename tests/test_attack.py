@@ -270,7 +270,7 @@ def test_fake_ids_start_after_genuine():
     ],
 )
 def test_attack_config_rejects_a_value_that_cannot_run(field, value, name):
-    with pytest.raises(ValueError, match=f"attack {name}"):
+    with pytest.raises(ValueError, match=f"attack[.]{name}"):
         AttackConfig(**{"kind": "poisonfrs", "fake_fraction": 0.1, field: value})
     AttackConfig(kind="poisonfrs", fake_fraction=0.1, scale=1e-9, noise_std=0.0)  # the bounds pass
 

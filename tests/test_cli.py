@@ -138,19 +138,30 @@ def test_run_integer_for_a_float_field_runs_as_the_float(tmp_path):
 @pytest.mark.parametrize(
     "section, key, value, message",
     [
-        ("attack", "lambda", 0, "attack lambda"), ("attack", "lambda", -1, "attack lambda"),
-        ("attack", "noise_std", -0.5, "attack noise_std"),
+        # ids set apart from the message, so that rewording a message keeps its case's id
+        pytest.param("attack", "lambda", 0, "attack.lambda", id="attack-lambda-0-attack lambda"),
+        pytest.param("attack", "lambda", -1, "attack.lambda", id="attack-lambda--1-attack lambda"),
+        pytest.param("attack", "noise_std", -0.5, "attack.noise_std",
+                     id="attack-noise_std--0.5-attack noise_std"),
         ("model", "learning_rate", math.nan, "learning_rate"),
-        ("attack", "fake_fraction", math.nan, "attack fake_fraction"),
-        ("dataset", "popularity_skew", math.nan, "dataset popularity_skew"),
-        ("attack", "lambda", math.nan, "attack lambda"),
-        ("attack", "noise_std", math.nan, "attack noise_std"),
-        ("aggregator", "clip_bound", math.nan, "aggregator clip_bound"),
+        pytest.param("attack", "fake_fraction", math.nan, "attack.fake_fraction",
+                     id="attack-fake_fraction-nan-attack fake_fraction"),
+        pytest.param("dataset", "popularity_skew", math.nan, "dataset.popularity_skew",
+                     id="dataset-popularity_skew-nan-dataset popularity_skew"),
+        pytest.param("attack", "lambda", math.nan, "attack.lambda",
+                     id="attack-lambda-nan-attack lambda"),
+        pytest.param("attack", "noise_std", math.nan, "attack.noise_std",
+                     id="attack-noise_std-nan-attack noise_std"),
+        pytest.param("aggregator", "clip_bound", math.nan, "aggregator.clip_bound",
+                     id="aggregator-clip_bound-nan-aggregator clip_bound"),
         ("federation", "participation", math.nan, "participation"),
-        ("dataset", "latent_dim", 0, "latent_dim must be >= 1"),
+        pytest.param("dataset", "latent_dim", 0, "dataset.latent_dim must be >= 1",
+                     id="dataset-latent_dim-0-latent_dim must be >= 1"),
         ("model", "learning_rate", math.inf, "model.learning_rate"),
-        ("attack", "lambda", math.inf, "attack lambda"),
-        ("attack", "noise_std", math.inf, "attack noise_std"),
+        pytest.param("attack", "lambda", math.inf, "attack.lambda",
+                     id="attack-lambda-inf-attack lambda"),
+        pytest.param("attack", "noise_std", math.inf, "attack.noise_std",
+                     id="attack-noise_std-inf-attack noise_std"),
         ("federation", "rounds", 0, "federation.rounds must be >= 1"),
         ("eval", "every", 0, "eval.every must be >= 1"),
         ("federation", "participation", 1.5, "federation.participation must be"),
@@ -203,14 +214,15 @@ def test_run_hics_z_above_dim_exits_2(tmp_path, capsys):
         ({"rule": "clip", "clip_bound": 0}, "clip_bound"),
         ({"rule": "trimmed_mean", "trim_beta": -1}, "trim_beta"),
         ({"rule": "krum", "krum_m": -2}, "krum_m"),
+        ({"rule": "median", "hics_z": 0}, "hics_z"),
     ],
-    ids=["clip_bound", "trim_beta", "krum_m"],
+    ids=["clip_bound", "trim_beta", "krum_m", "hics_z"],
 )
 def test_run_aggregator_parameter_failing_every_count_exits_2(tmp_path, capsys, aggregator, field):
     config = write_config(tmp_path, dict(MINIMAL, aggregator=aggregator))
     out = tmp_path / "o"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-    assert f"aggregator {field}" in capsys.readouterr().err
+    assert f"error: aggregator.{field} " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -283,11 +295,11 @@ FIVE_ITEMS = "users=4 items=5\n" + "".join(
 @pytest.mark.parametrize(
     "data, attack, message",
     [
-        (FIVE_ITEMS, {"filler_count": 5}, "attack filler_count must lie in [0, items=5)"),
+        (FIVE_ITEMS, {"filler_count": 5}, "attack.filler_count must lie in [0, items=5)"),
         (FIVE_ITEMS, {"kind": "random", "filler_count": 5},
-         "attack filler_count must lie in [0, items=5)"),
-        (FIVE_ITEMS, {"popular_count": 6}, "attack popular_count must lie in [1, items=5]"),
-        (FIVE_ITEMS, {"target_item": 5}, "attack target_item 5 must lie in [0, items=5)"),
+         "attack.filler_count must lie in [0, items=5)"),
+        (FIVE_ITEMS, {"popular_count": 6}, "attack.popular_count must lie in [1, items=5]"),
+        (FIVE_ITEMS, {"target_item": 5}, "attack.target_item 5 must lie in [0, items=5)"),
         ("users=2 items=3\n0\t0\t0\n1\t2\t0\n", {}, "dataset: no user has a held-out item"),
         ("users=2 items=3\n0\t1\t0\n0\t0\t1\n1\t0\t0\n1\t2\t1\n", {"target_item": 0},
          "attack.target_item: every user has interacted with item 0"),
@@ -413,16 +425,18 @@ def test_synth_rerun_byte_identical(tmp_path):
 
 
 def test_synth_zero_users_exits_2(tmp_path, capsys):
+    new = tmp_path / "new"
     assert main(["synth", "--users", "0", "--items", "10", "--per-user", "5", "--output",
-                 str(tmp_path / "x.tsv")]) == 2
-    assert "n_users" in capsys.readouterr().err
+                 str(new / "x.tsv")]) == 2
+    assert capsys.readouterr().err == "error: dataset.users must be >= 1\n"
+    assert not new.exists()
 
 
 def test_synth_zero_latent_dim_exits_2(tmp_path, capsys):
     out = tmp_path / "x.tsv"
     assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5",
                  "--latent-dim", "0", "--output", str(out)]) == 2
-    assert "latent_dim must be >= 1" in capsys.readouterr().err
+    assert "dataset.latent_dim must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,7 +445,7 @@ def test_synth_non_finite_skew_exits_2(tmp_path, capsys, skew):
     out = tmp_path / "x.tsv"
     assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5",
                  f"--skew={skew}", "--output", str(out)]) == 2
-    assert "dataset popularity_skew must be finite" in capsys.readouterr().err
+    assert "dataset.popularity_skew must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -529,12 +543,25 @@ def test_aggcheck_degenerate_rule_logs_its_median_fallback(tmp_path, capsys, cap
 @pytest.mark.parametrize(
     "flags, field",
     [(["clip", "--bound", "0"], "clip_bound"), (["trimmed_mean", "--beta", "-1"], "trim_beta"),
-     (["krum", "--m", "-2"], "krum_m")],
-    ids=["clip_bound", "trim_beta", "krum_m"],
+     (["krum", "--m", "-2"], "krum_m"), (["hics", "--z", "0"], "hics_z")],
+    ids=["clip_bound", "trim_beta", "krum_m", "hics_z"],
 )
 def test_aggcheck_parameter_failing_every_count_exits_2(tmp_path, capsys, flags, field):
     path = tmp_path / "vectors.txt"
     path.write_text("1,0\n1.1,0\n50,50\n2,2\n3,3\n4,4\n")
     assert main(["aggcheck", flags[0], str(path), *flags[1:]]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and f"aggregator {field}" in captured.err
+    assert captured.out == "" and captured.err.startswith(f"error: aggregator.{field} ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
+def test_aggcheck_hics_z_above_the_vector_length_keeps_every_coordinate(tmp_path, capsys):
+    path = tmp_path / "vectors.txt"
+    path.write_text("1,-2,0.5\n3,0.25,-1\n-0.5,4,2\n")
+    printed = []
+    for z in ("3", "4", "9"):
+        assert main(["aggcheck", "hics", str(path), "--z", z]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.append(captured.out)
+    assert printed[1] == printed[0] and printed[2] == printed[0]

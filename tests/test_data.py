@@ -14,6 +14,7 @@ from fedrec_arena.data import (
     parse_ratings,
     top_k,
 )
+from fedrec_arena.federation import DatasetConfig
 from fedrec_arena.model import UserProfile
 
 import reference
@@ -303,8 +304,8 @@ def test_top_k_breaks_ties_at_the_cut_to_the_lower_id(k):
     [(2, 3, 1), (2, 5, 5), (0, 5, 2)],
 )
 def test_synthetic_infeasible_parameters(users, items, per_user):
-    with pytest.raises(ValueError):
-        generate_synthetic(users, items, 2, per_user, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dataset[.]"):
+        DatasetConfig(users=users, items=items, latent_dim=2, interactions_per_user=per_user)
 
 
 # ---------------------------------------------------------------- serialization

@@ -554,7 +554,7 @@ def test_validate_rejects_bad_configs():
             small_config(attack=AttackConfig(target_item=target))
     # start round is irrelevant without an active attack
     small_config(rounds=5)
-    # hics_z is only bounded when hics aggregates
+    # only hics_z's upper bound, model.dim, depends on the rule
     small_config(dim=4, aggregator=AggregatorSpec(rule="median", hics_z=8))
     # attack sizes are only bounded when fakes attack; the largest that fit pass
     small_config(attack=AttackConfig(filler_count=30, popular_count=31))
@@ -573,8 +573,26 @@ def test_validate_rejects_bad_configs():
     ],
 )
 def test_validate_rejects_aggregator_parameters_that_fail_every_count(rule, field, value):
-    with pytest.raises(ValueError, match=f"aggregator {field}"):
+    with pytest.raises(ValueError, match=f"aggregator[.]{field}"):
         small_config(aggregator=AggregatorSpec(rule=rule, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: DatasetConfig(users=0), "dataset.users"),
+        (lambda: DatasetConfig(items=20), "dataset.items"),
+        (lambda: DatasetConfig(latent_dim=0), "dataset.latent_dim"),
+        (lambda: DatasetConfig(interactions_per_user=1), "dataset.interactions_per_user"),
+        (lambda: AttackConfig(target_item=2.5), "attack.target_item"),
+        (lambda: AggregatorSpec(rule="median", hics_z=0), "aggregator.hics_z"),
+    ],
+    ids=["users", "items", "latent_dim", "interactions_per_user", "target_item", "hics_z"],
+)
+def test_section_config_refuses_its_own_field_when_built_alone(build, key):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value).startswith(f"{key} "), refused.value
 
 
 def test_metric_cadence_includes_final_round():
