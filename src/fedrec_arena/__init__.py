@@ -25,6 +25,7 @@ from .evaluation import (
 from .federation import (
     ConfigError,
     DatasetConfig,
+    Experiment,
     ExperimentConfig,
     ExperimentResult,
     RoundLedger,

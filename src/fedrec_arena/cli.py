@@ -28,7 +28,7 @@ from .aggregation import RULES, AggregatorSpec, aggregate_rows, degenerate_reaso
 from .data import dump_dataset
 from .evaluation import project_2d
 from .federation import (
-    ConfigError, DatasetConfig, ExperimentConfig, SeedStreams, resolve_dataset, run_experiment,
+    ConfigError, DatasetConfig, Experiment, ExperimentConfig, SeedStreams, resolve_dataset,
 )
 
 log = logging.getLogger("fedrec_arena.cli")
@@ -213,9 +213,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             resolved["seed"] = args.seed
         if args.dump_updates is not None:
             resolved["eval"]["dump_round"] = args.dump_updates
-        config = build_experiment(resolved)
-        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any work
-        result = run_experiment(config)  # refuses a config its data cannot run before round 1
+        experiment = Experiment(build_experiment(resolved))  # refuses its data before --out exists
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before round 1
+        result = experiment.run()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -225,10 +225,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     write_metrics_csv(out_dir / "metrics.csv", result)
     write_summary(out_dir / "summary.json", resolved, result)
-    if config.dump_round is not None:
+    if result.config.dump_round is not None:
         write_dump_csv(out_dir / "target_updates.csv", result)
     print(
-        f"run complete: {config.rounds} rounds, {result.num_genuine} genuine"
+        f"run complete: {result.config.rounds} rounds, {result.num_genuine} genuine"
         f" + {result.num_fakes} fake users, wall time {result.wall_time:.2f}s"
     )
     return 0

@@ -53,7 +53,7 @@ def rank_metrics(
     non-interacted items of each user who never interacted with it, and hits
     at k when fewer than k of them rank ahead. One count per user serves all k.
 
-    Preconditions, which ``run_experiment`` checks at setup: some user has a
+    Preconditions, which ``Experiment`` checks at setup: some user has a
     held-out item, and some user never interacted with ``target_item``.
     """
     num_items = embeddings.num_items

@@ -19,11 +19,11 @@ A run is refused one way, before round 1. Each config dataclass is frozen and
 checks its own fields when it is built, among them the synthetic shape
 (``DatasetConfig``), the target's type (``AttackConfig``) and hics_z >= 1
 (``AggregatorSpec``); ``ExperimentConfig`` checks what crosses sections: hics_z
-<= dim under hics, the start round and a synthetic item count. ``run_experiment``
-checks what needs the data once, at setup: that the dataset file opens and
-parses, that the attack fits its item count, that some user has a held-out
-item and that some user never interacted with the target. Each such refusal
-is a ``ConfigError``.
+<= dim under hics, the start round and a synthetic item count. Building an
+``Experiment`` is setup, which checks what needs the data once: that the dataset
+file opens and parses and fits the attack, that some user has a held-out item
+and that some user never interacted with the target. Each such refusal is a
+``ConfigError``; ``Experiment.run`` then runs the rounds.
 
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
@@ -214,11 +214,6 @@ def resolve_dataset(config: DatasetConfig, streams: SeedStreams) -> InteractionD
         raise ConfigError(f"dataset.path: {exc}") from exc
 
 
-def default_target_item(train_counts: np.ndarray) -> int:
-    """The least train-interacted item, ties toward the lowest id."""
-    return int(np.argmin(train_counts))
-
-
 def build_user_table(
     split, num_items: int, dim: int, streams: SeedStreams, fake_embeddings, fake_items
 ) -> UserTable:
@@ -302,72 +297,79 @@ def run_round(
     return ItemEmbeddings(round_index + 1, matrix), ledger
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Drive the full timeline and collect the metric series.
+class Experiment:
+    """One run: building it is the setup, which raises ConfigError on data it cannot run."""
 
-    Fully deterministic given the config. Data it cannot run is a ConfigError at setup.
-    """
-    started = time.perf_counter()
-    streams = SeedStreams(config.seed)
+    def __init__(self, config: ExperimentConfig):
+        self.started = time.perf_counter()
+        self.config = config
+        self.streams = streams = SeedStreams(config.seed)
 
-    dataset = resolve_dataset(config.dataset, streams)
-    # a file dataset's item count is known only once it is loaded
-    config.check_item_count(dataset.num_items)
-    split = leave_one_out_split(dataset)
-    if (split[2] < 0).all():
-        raise ConfigError("dataset: no user has a held-out item (each has under 2 interactions)")
-    embeddings = init_embeddings(dataset.num_items, config.dim, streams)
+        dataset = resolve_dataset(config.dataset, streams)
+        if config.dataset.kind == "file":  # a synthetic item count was checked with the config
+            config.check_item_count(dataset.num_items)
+        split = leave_one_out_split(dataset)
+        if (split[2] < 0).all():
+            raise ConfigError("dataset: no user has a held-out item (each has under 2 interactions)")
+        self.embeddings = init_embeddings(dataset.num_items, config.dim, streams)
 
-    train_counts = np.bincount(split[1], minlength=dataset.num_items)
-    target_item = config.attack.target_item
-    if target_item is None:
-        target_item = default_target_item(train_counts)
-    attack = AttackRuntime(config.attack, dataset.num_users, target_item)
-    fakes = attack.baseline_fakes(train_counts, config.dim, streams.baseline())
-    users = build_user_table(split, dataset.num_items, config.dim, streams, *fakes)
-    num_genuine = dataset.num_users
-    if users.interacted[:num_genuine, target_item].all():
-        raise ConfigError(f"attack.target_item: every user has interacted with item {target_item}")
-    del dataset, split  # no round reads them: free them before round 1
+        train_counts = np.bincount(split[1], minlength=dataset.num_items)
+        target_item = config.attack.target_item
+        if target_item is None:  # the least train-interacted item, ties toward the lowest id
+            target_item = int(np.argmin(train_counts))
+        self.attack = AttackRuntime(config.attack, dataset.num_users, target_item)
+        fakes = self.attack.baseline_fakes(train_counts, config.dim, streams.baseline())
+        self.users = build_user_table(split, dataset.num_items, config.dim, streams, *fakes)
+        if self.users.interacted[: dataset.num_users, target_item].all():
+            raise ConfigError(f"attack.target_item: every user has interacted with item {target_item}")
 
-    spec = config.aggregator  # an unset krum_m defaults to the true fake count
-    if spec.krum_m is None:
-        spec = replace(spec, krum_m=attack.num_fakes)
-    bank = np.zeros_like(embeddings.matrix)  # HiCS carry-over, empty every run
+    def run(self) -> ExperimentResult:
+        """Run every round on ``users`` and ``embeddings`` in place, so an Experiment runs once."""
+        config, attack, users = self.config, self.attack, self.users
+        num_genuine, target_item = attack.num_genuine, attack.target_item
+        spec = config.aggregator  # an unset krum_m defaults to the true fake count
+        if spec.krum_m is None:
+            spec = replace(spec, krum_m=attack.num_fakes)
+        bank = np.zeros_like(self.embeddings.matrix)  # HiCS carry-over, empty every run
 
-    footprints = np.zeros((num_genuine + attack.num_fakes, embeddings.num_items), dtype=bool)
-    metrics: list[evaluation.MetricsRecord] = []
-    ledgers: list[RoundLedger] = []
+        footprints = np.zeros((num_genuine + attack.num_fakes, self.embeddings.num_items), dtype=bool)
+        metrics: list[evaluation.MetricsRecord] = []
+        ledgers: list[RoundLedger] = []
 
-    for round_index in range(1, config.rounds + 1):
-        attack.observe_broadcast(embeddings)
-        embeddings, ledger = run_round(
-            embeddings, users, attack, spec, streams, config.learning_rate,
-            config.participation, bank, footprints, config.dump_round == round_index,
-        )
-        ledgers.append(ledger)
-        if not np.isfinite(embeddings.matrix).all():
-            raise FloatingPointError(f"round {round_index}: item embeddings are not finite")
-
-        if round_index % config.eval_every == 0 or round_index == config.rounds:
-            if not np.isfinite(users.embeddings[:num_genuine]).all():
-                raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
-            ranked = evaluation.rank_metrics(
-                users, num_genuine, embeddings, target_item, config.topk
+        for round_index in range(1, config.rounds + 1):
+            attack.observe_broadcast(self.embeddings)
+            self.embeddings, ledger = run_round(
+                self.embeddings, users, attack, spec, self.streams, config.learning_rate,
+                config.participation, bank, footprints, config.dump_round == round_index,
             )
-            footprint = evaluation.footprint_stats(footprints[:num_genuine].sum(axis=1))
-            metrics.append(evaluation.MetricsRecord(round_index, *ranked, footprint))
+            ledgers.append(ledger)
+            if not np.isfinite(self.embeddings.matrix).all():
+                raise FloatingPointError(f"round {round_index}: item embeddings are not finite")
 
-    return ExperimentResult(
-        config=config,
-        target_item=target_item,
-        num_genuine=num_genuine,
-        num_fakes=attack.num_fakes,
-        metrics=metrics,
-        ledgers=ledgers,
-        footprints=footprints,
-        final_embeddings=embeddings,
-        profiles=users.profiles(num_genuine),
-        wall_time=time.perf_counter() - started,
-        warnings_count=sum(l.fallbacks.size for l in ledgers),
-    )
+            if round_index % config.eval_every == 0 or round_index == config.rounds:
+                if not np.isfinite(users.embeddings[:num_genuine]).all():
+                    raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
+                ranked = evaluation.rank_metrics(
+                    users, num_genuine, self.embeddings, target_item, config.topk
+                )
+                footprint = evaluation.footprint_stats(footprints[:num_genuine].sum(axis=1))
+                metrics.append(evaluation.MetricsRecord(round_index, *ranked, footprint))
+
+        return ExperimentResult(
+            config=config,
+            target_item=target_item,
+            num_genuine=num_genuine,
+            num_fakes=attack.num_fakes,
+            metrics=metrics,
+            ledgers=ledgers,
+            footprints=footprints,
+            final_embeddings=self.embeddings,
+            profiles=users.profiles(num_genuine),
+            wall_time=time.perf_counter() - self.started,
+            warnings_count=sum(l.fallbacks.size for l in ledgers),
+        )
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """``Experiment(config).run()``: data it cannot run is a ConfigError at setup."""
+    return Experiment(config).run()

@@ -13,6 +13,7 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -458,6 +459,69 @@ def test_criterion_8_process_determinism(tmp_path):
     assert [worker.exitcode for worker in workers] == [0, 0]
     same = (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
     report(8, same, "metrics.csv byte-identical from two worker processes")
+
+
+# Runs the CLI on argv[1] into argv[2], and saves the run's final item and user
+# embeddings there too, with the process's OS thread count once numpy (and so
+# OpenBLAS, with its thread pool) is loaded.
+BLAS_WORKER = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fedrec_arena import federation
+from fedrec_arena.cli import main
+
+out = Path(sys.argv[2])
+threads = [l.split()[1] for l in open("/proc/self/status") if l.startswith("Threads:")]
+run = federation.Experiment.run
+
+
+def run_and_save(self):
+    result = run(self)
+    np.save(out / "items.npy", result.final_embeddings.matrix)
+    np.save(out / "users.npy", self.users.embeddings)
+    (out / "threads.txt").write_text(threads[0])
+    return result
+
+
+federation.Experiment.run = run_and_save
+sys.exit(main(["run", "--config", sys.argv[1], "--out", str(out)]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_determinism_across_blas_thread_counts(tmp_path):
+    """One run in two fresh interpreters, at one and at two OpenBLAS threads, gives
+    the same bytes: the synthesis, Krum's Gram and the eval's score product all
+    go through BLAS."""
+    document = {
+        "dataset": {"latent_dim": 8, "popularity_skew": 1.0, **DESK_SHAPE},
+        "model": {"dim": 32, "learning_rate": 0.05},
+        "federation": {"rounds": 30},
+        "aggregator": {"rule": "krum"},
+        "attack": {"kind": "poisonfrs", "fake_fraction": 0.01, "start_round": 10,
+                   "filler_count": FILLERS},
+        "eval": {"every": 10, "topk": [5, 10]},
+        "seed": BASE_SEED,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", BLAS_WORKER, str(config), str(out)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    counts = [int((out / "threads.txt").read_text()) for out in outs]
+    assert counts[0] < counts[1], f"OS threads {counts}: the BLAS setting did not take"
+    for name in ("metrics.csv", "items.npy", "users.npy"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # =====================================================================

@@ -322,7 +322,19 @@ def test_run_file_dataset_that_cannot_run_exits_2_before_round_1(
     out = tmp_path / "o"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_run_out_under_a_file_exits_1_before_round_1(tmp_path, capsys, no_round):
+    config = write_config(tmp_path, MINIMAL)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["run", "--config", str(config), "--out", str(blocker / "o")]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: run failed: ")
+    assert "a round ran" not in err
+    assert blocker.read_text() == ""
 
 
 def test_summary_echo_reproduces_metrics_bytes(tmp_path):

@@ -11,10 +11,10 @@ from fedrec_arena.attack import AttackConfig, AttackRuntime
 from fedrec_arena.data import draw_round_pairs, dump_dataset, parse_ratings
 from fedrec_arena.federation import (
     DatasetConfig,
+    Experiment,
     ExperimentConfig,
     SeedStreams,
     build_user_table,
-    default_target_item,
     init_embeddings,
     leave_one_out_split,
     resolve_dataset,
@@ -454,6 +454,40 @@ def test_result_profiles_round_trip_the_split(tmp_path, monkeypatch):
     assert result.profiles[2].train_items == [5] and result.profiles[2].test_item is None
 
 
+def count_item_checks(monkeypatch):
+    """A list that gains one entry per ExperimentConfig.check_item_count call."""
+    calls = []
+    real = ExperimentConfig.check_item_count
+
+    def spy(self, num_items):
+        calls.append(num_items)
+        return real(self, num_items)
+
+    monkeypatch.setattr(ExperimentConfig, "check_item_count", spy)
+    return calls
+
+
+def test_synthetic_item_count_is_checked_once_when_the_config_is_built(monkeypatch):
+    calls = count_item_checks(monkeypatch)
+    attack = AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=3, filler_count=3)
+    config = small_config(attack=attack)
+    assert calls == [30]
+    Experiment(config)
+    assert calls == [30]
+
+
+def test_file_item_count_is_checked_once_at_setup(tmp_path, monkeypatch):
+    path = tmp_path / "data.tsv"
+    with path.open("w") as fp:
+        dump_dataset(resolve_dataset(small_config().dataset, SeedStreams(3)), fp)
+    calls = count_item_checks(monkeypatch)
+    attack = AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=3, filler_count=3)
+    config = small_config(dataset=DatasetConfig(kind="file", path=str(path)), attack=attack)
+    assert calls == []
+    Experiment(config)
+    assert calls == [30]
+
+
 def test_raw_ratings_file_runs_as_its_dumped_dataset(tmp_path):
     """A ``user::item::rating::order`` file runs exactly as the ``users=`` file
     that ``dump_dataset`` writes from its parse: same target, metrics, final
@@ -501,7 +535,7 @@ def test_default_target_is_least_interacted():
     dataset = resolve_dataset(config.dataset, streams)
     _, train, _ = leave_one_out_split(dataset)
     counts = np.bincount(train, minlength=dataset.num_items)
-    target = default_target_item(counts)
+    target = Experiment(config).attack.target_item
     assert counts[target] == counts.min()
     assert all(counts[i] > counts[target] for i in range(target))
 
