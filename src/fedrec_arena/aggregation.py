@@ -7,9 +7,14 @@ n, keeping each item's rows in table order. No table column is copied: each
 bucket's (k, n, d) block is gathered from ``sources`` through its slice of
 that permutation, and the rule runs once over it along axis 1. A rule's
 preconditions depend only on n, so a bucket that fails them falls back to the
-median as a whole. Krum scores a bucket in row blocks: its (k, rows, n) Gram
-and distance temporaries hold at most 2**15 cells (about 256 kB) each, or one
-row where k * n alone exceeds that, so its memory grows with n, not n**2.
+median as a whole. The median is taken by selection: a median bucket is
+gathered from the transposed sources straight into a (d, k, n) block, and
+``partition`` selects each coordinate's lower median along the contiguous
+last axis. A selected value has the sorted one's bits unless it is zero or
+NaN, and those few coordinates are sorted as before. Krum scores a bucket in
+row blocks: its (k, rows, n) Gram and distance temporaries hold at most 2**15
+cells (about 256 kB) each, or one row where k * n alone exceeds that, so its
+memory grows with n, not n**2.
 HiCS carries a bank between rounds, an (items, d) array the caller owns.
 ``aggregate_rows`` runs one item's rows through ``aggregate_round``.
 """
@@ -62,8 +67,26 @@ def _shrink(norms: np.ndarray, limit: float | np.ndarray) -> np.ndarray:
     )
 
 
-def _median(block: np.ndarray) -> np.ndarray:
-    return np.sort(block, axis=1)[:, (block.shape[1] - 1) // 2]
+def _median(columns: np.ndarray, who: np.ndarray, scale: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The (k, d) lower medians of k items with n rows each, row r being
+    ``scale[r] * columns[:, who[r]]``: bit for bit the element at (n - 1) // 2
+    of each coordinate's values sorted in row order.
+
+    A coordinate's values are selected in place along the contiguous last axis
+    of a (d, k, n) block. A nonzero, non-NaN value is the sorted one; -0.0 and
+    0.0 compare equal, and a NaN's bits depend on where a sort puts it, so a
+    zero or NaN median is taken again from that coordinate's values sorted.
+    """
+    block = np.take(columns, who, axis=1).reshape(-1, k, n)
+    block *= scale.reshape(k, n)
+    h = (n - 1) // 2
+    block.partition(h, axis=2)
+    medians = block[:, :, h]
+    j, i = np.nonzero((medians == 0.0) | np.isnan(medians))
+    if j.size:
+        rows = who.reshape(k, n)[i]
+        medians[j, i] = np.sort(columns[j[:, None], rows] * scale.reshape(k, n)[i], axis=1)[:, h]
+    return medians.T
 
 
 def _trim(spec: AggregatorSpec, n: int) -> int:
@@ -80,13 +103,14 @@ def degenerate_reason(spec: AggregatorSpec, n: int) -> Optional[str]:
 
 
 def _aggregate_block(spec: AggregatorSpec, block: np.ndarray, bank, ids) -> np.ndarray:
-    """Aggregate a (k, n, d) block of k items with n rows each into (k, d).
+    """Aggregate a (k, n, d) block of k items with n rows each into (k, d)
+    under any rule but the median, which ``_median`` takes by selection.
 
-    The median is the lower one; Krum ties go to the lowest index. HiCS adds
-    the rows' sum to ``bank[ids]``, keeps the z bank coordinates of largest
-    magnitude (ties toward the lower index; all d if z > d), clips the rows
-    restricted to them to their mean norm, averages, and drains the output
-    times n from the bank in place. The caller has checked ``degenerate_reason``.
+    Krum ties go to the lowest index. HiCS adds the rows' sum to
+    ``bank[ids]``, keeps the z bank coordinates of largest magnitude (ties
+    toward the lower index; all d if z > d), clips the rows restricted to them
+    to their mean norm, averages, and drains the output times n from the bank
+    in place. The caller has checked ``degenerate_reason``.
 
     Krum works through the rows in blocks of max(1, 2**15 // (k * n)): a
     block's squared distances to every row are built, sorted in place and
@@ -98,8 +122,6 @@ def _aggregate_block(spec: AggregatorSpec, block: np.ndarray, bank, ids) -> np.n
     k, n, d = block.shape
     if spec.rule == "fedavg":
         return block.sum(axis=1) / n
-    if spec.rule == "median":
-        return _median(block)
     if spec.rule == "trimmed_mean":
         beta = _trim(spec, n)
         if beta == 0:
@@ -162,16 +184,20 @@ def aggregate_round(
     ends = np.cumsum(sizes * items_per_size).tolist()
     deltas = np.empty((counts.size, sources.shape[1]))  # row i: item i's delta
     degenerate = np.zeros(counts.size, dtype=bool)
+    columns = None  # sources.T, copied when the first median bucket needs it
     for n, k, hi in zip(sizes.tolist(), items_per_size.tolist(), ends):
         rows = order[hi - k * n : hi]
         ids = items[rows[::n]]
-        block = sources[who[rows]].reshape(k, n, -1)
-        block *= scale[rows].reshape(k, n, 1)
-        if degenerate_reason(spec, n) is None:
-            deltas[ids] = _aggregate_block(spec, block, bank, ids)
+        fallback = degenerate_reason(spec, n) is not None
+        if fallback or spec.rule == "median":
+            if columns is None:
+                columns = sources.T.copy()
+            deltas[ids] = _median(columns, who[rows], scale[rows], k, n)
+            degenerate[ids] = fallback
         else:
-            deltas[ids] = _median(block)
-            degenerate[ids] = True
+            block = np.take(sources, who[rows], axis=0).reshape(k, n, -1)
+            block *= scale[rows].reshape(k, n, 1)
+            deltas[ids] = _aggregate_block(spec, block, bank, ids)
     touched = np.flatnonzero(counts).astype(np.int32)
     return touched, deltas[touched], np.flatnonzero(degenerate).astype(np.int32)
 

@@ -214,7 +214,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.dump_updates is not None:
             resolved["eval"]["dump_round"] = args.dump_updates
         experiment = Experiment(build_experiment(resolved))  # refuses its data before --out exists
-        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before round 1
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before round 1
+        except OSError as exc:  # one line says why, as synth's --output does
+            print(f"error: run failed: {exc}", file=sys.stderr)
+            return 1
         result = experiment.run()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,6 +256,9 @@ def run_round(
     ``footprints`` (users, items) are carried between rounds and updated in place.
     """
     round_index = embeddings.round
+    # the next model outlives the round: copied before the round's temporaries,
+    # it does not end up above them on the heap, which can then shrink as they go
+    matrix = embeddings.matrix.copy()
 
     count = len(users) if attack.active(round_index) else attack.num_genuine
     rows = np.arange(count)
@@ -273,16 +276,20 @@ def run_round(
     fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, streams)
 
     # Row k of the table is scale[k] * sources[who[k]], never built here: the
-    # old participant embeddings, then the crafted rows at scale 1.
+    # old participant embeddings, then the crafted rows at scale 1. train_step's
+    # columns own their data and nothing views them, so they are resized in
+    # place, not concatenated into new columns, and keep their dtypes.
+    trained = items.size
     sources = np.concatenate((user_rows, fake_deltas))
-    contributors = np.concatenate((rows[who], fake_ids), dtype=np.int32)
-    items = np.concatenate((items, fake_items))
-    who = np.concatenate((who, np.arange(len(user_rows), len(sources))))
-    scale = np.concatenate((scale, np.ones(len(sources) - len(user_rows))))
+    for column in (items, who, scale):
+        column.resize(trained + fake_items.size, refcheck=False)
+    items[trained:] = fake_items
+    who[trained:] = np.arange(len(user_rows), len(sources))
+    scale[trained:] = 1.0
+    contributors = np.concatenate((rows, fake_ids), dtype=np.int32)[who]
     footprints[contributors, items] = True
 
     touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
-    matrix = embeddings.matrix.copy()
     matrix[touched] += deltas
     if fallbacks.size:
         aggregation_log.warning(

@@ -79,12 +79,16 @@ class UserTable:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|), never overflowing; a NaN keeps its bits
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index of each run's first entry in ``keys``, where equal keys are adjacent."""
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def train_step(
@@ -103,33 +107,45 @@ def train_step(
     delta ``scale[k] * users[who[k]]`` = -lr * dL/dv for item ``items[k]`` and
     user row ``who[k]``, its +-c terms summed in pair order; and the user matrix
     after each user's step of -lr * dL/du from the old point. Rows whose delta
-    is exactly zero are omitted (only nonzero entries are uploaded).
+    is exactly zero are omitted (only nonzero entries are uploaded). Each
+    returned array owns its data; ``items`` and ``who`` are int32 unless
+    users * items reaches 2**31, then int64.
     """
     num_users = len(users)
     # dL/dmargin = -sigmoid(-margin); positives gain +c*u, negatives -c*u
     c, stepped = np.empty(owner.size), users.copy()
     # blocks of whole users, ~256 kB of (pair, d) temporaries each: peak memory stays put
-    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
-    cuts = firsts[np.flatnonzero(np.diff(firsts // max(1, 2**15 // users.shape[1]), prepend=-1))]
+    firsts = _run_starts(owner)
+    cuts = firsts[_run_starts(firsts // max(1, 2**15 // users.shape[1]))]
     for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [owner.size]):
         diff = matrix[pos[lo:hi]] - matrix[neg[lo:hi]]
         c[lo:hi] = _sigmoid(-np.einsum("nd,nd->n", diff, users[owner[lo:hi]]))
         diff *= c[lo:hi, None]
-        heads = np.flatnonzero(np.diff(owner[lo:hi], prepend=-1))
+        heads = _run_starts(owner[lo:hi])
         stepped[owner[lo + heads]] += learning_rate * np.add.reduceat(diff, heads, axis=0)
     # term 2r is pair r's positive, 2r + 1 its negative. A stable sort by item
     # alone (radix for keys of <= 16 bits) keeps owner ascending: (item, user)
-    # order, each key's terms in pair order. Arrays go once read, for peak memory
-    keys = np.stack((pos, neg), axis=1).ravel().astype(np.min_scalar_type(len(matrix) - 1))
+    # order, each key's terms in pair order. The sort runs on the narrowest
+    # type that holds an item id, the (item, user) key on int32 unless
+    # users * items reaches 2**31. Arrays go once read, for peak memory
+    keys = np.empty(2 * owner.size, np.min_scalar_type(len(matrix) - 1))
+    keys[0::2], keys[1::2] = pos, neg
     order = np.argsort(keys, kind="stable")
-    keys = owner[order >> 1] + num_users * keys[order].astype(np.int64)
-    terms = np.stack((c, -c), axis=1).ravel()[order]
+    terms = np.empty(keys.size)
+    terms[0::2], terms[1::2] = c, -c
+    del c
+    terms = terms[order]
+    wide = np.int32 if num_users * len(matrix) < 2**31 else np.int64
+    keys = np.multiply(keys[order], num_users, dtype=wide)
+    order >>= 1
+    keys += owner.astype(wide)[order]
     del order
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    scale = learning_rate * np.add.reduceat(terms, starts)
+    starts = _run_starts(keys)
+    scale = np.add.reduceat(terms, starts)
+    scale *= learning_rate
     keys = keys[starts]
     del terms, starts
     # a row scale * u is all zero exactly when scale * max|u| rounds to zero
-    kept = (scale != 0.0) & (np.abs(scale) * np.abs(users).max(axis=1)[keys % num_users] != 0.0)
+    kept = (scale != 0.0) & (scale * np.abs(users).max(axis=1)[keys % num_users] != 0.0)
     items, who = np.divmod(keys[kept], num_users)
     return items, who, scale[kept], stepped

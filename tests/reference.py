@@ -8,7 +8,8 @@ array dataset and split and their tuple and dict forms.
 ``sample_pairs`` and ``local_train`` are the per-user sampling and training
 path the round engine replaced with ``data.draw_round_pairs`` and
 ``model.train_step``; ``user_table`` puts such per-user profiles into the
-engine's ``UserTable``; ``bpr_loss`` is the finite-difference oracle for the
+engine's ``UserTable``; ``sigmoid`` is the two-branch logistic that
+``model._sigmoid`` replaced, ``bpr_loss`` the finite-difference oracle for the
 gradient, and ``predict_score`` the dot-product score. ``aggregate_item``
 and the ``agg_*`` functions are the per-item aggregation path that
 ``aggregation.aggregate_round`` replaced; the HiCS bank is a dict of rows by
@@ -22,7 +23,7 @@ import numpy as np
 
 from fedrec_arena.aggregation import AggregatorSpec
 from fedrec_arena.data import InteractionDataset, check_synthetic_shape
-from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable, _sigmoid
+from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable
 
 
 class DegenerateUserError(ValueError):
@@ -165,6 +166,16 @@ def sample_pairs(profile: UserProfile, num_items: int, rng: np.random.Generator)
     return np.column_stack((positives, negatives))
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic by branch: 1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x))."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def local_train(
     profile: UserProfile,
     embeddings: ItemEmbeddings,
@@ -186,7 +197,7 @@ def local_train(
     diff = embeddings.matrix[pos] - embeddings.matrix[neg]
     margin = diff @ u
     # dL/dmargin = -sigmoid(-margin); positives gain +c*u, negatives -c*u
-    c = _sigmoid(-margin)
+    c = sigmoid(-margin)
 
     sums = np.bincount(pos, weights=c, minlength=embeddings.num_items)
     sums -= np.bincount(neg, weights=c, minlength=embeddings.num_items)

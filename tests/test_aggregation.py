@@ -285,6 +285,38 @@ def test_median_and_trimmed_match_oracles_randomized():
             assert got == pytest.approx(trimmed_oracle(vectors, beta), rel=1e-12, abs=1e-12)
 
 
+def median_values(kind, rng, shape):
+    """Row values: normal draws, small integers (exact ties), or draws from
+    -0.0, 0.0 and +-1 with NaN or without (zero medians of either sign)."""
+    if kind == "random":
+        return rng.normal(size=shape)
+    if kind == "ties":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    choices = [-0.0, 0.0, 1.0, -1.0] + ([np.nan] if kind == "zeros_nan" else [])
+    return rng.choice(np.array(choices), size=shape)
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "zeros", "zeros_nan"])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1000, 1001])
+def test_median_by_selection_matches_the_sorted_reference_bit_for_bit(n, kind):
+    # three items of n rows and one of n + 1, in shuffled table order; every
+    # delta must carry the bits of reference.agg_median, zero signs and NaNs included
+    rng = np.random.default_rng(n)
+    d = 24
+    items = rng.permutation(np.repeat(np.arange(4), [n, n, n, n + 1]))
+    who = rng.integers(0, 2 * n, size=items.size)
+    sources = median_values(kind, rng, (2 * n, d))
+    scale = rng.choice([1.0, -1.0, 0.5], size=items.size)
+    if kind == "random":
+        scale = rng.normal(size=items.size)
+    touched, deltas, fallbacks = aggregate_round(MEDIAN, items, who, scale, sources, None)
+    assert touched.tolist() == [0, 1, 2, 3] and fallbacks.size == 0
+    for item in range(4):
+        rows = np.flatnonzero(items == item)
+        expected = reference.agg_median([scale[r] * sources[who[r]] for r in rows])
+        assert same_bits(deltas[item], expected), item
+
+
 def test_rules_permutation_invariance():
     rng = np.random.default_rng(8)
     vectors = [rng.normal(size=3) for _ in range(7)]

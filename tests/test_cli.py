@@ -337,6 +337,19 @@ def test_run_out_under_a_file_exits_1_before_round_1(tmp_path, capsys, no_round)
     assert blocker.read_text() == ""
 
 
+def test_run_unwritable_out_prints_one_error_line_and_no_traceback(tmp_path, capsys, caplog):
+    config = write_config(tmp_path, MINIMAL)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "o"  # its parent is a file
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run failed: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR or r.exc_info]
+    assert blocker.read_text() == "" and not out.exists()
+
+
 def test_summary_echo_reproduces_metrics_bytes(tmp_path):
     config = write_config(tmp_path, MINIMAL)
     out1 = tmp_path / "first"

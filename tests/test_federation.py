@@ -406,6 +406,34 @@ def test_no_fake_contributions_before_start_round(monkeypatch):
             assert touched_fakes == fake_ids
 
 
+def test_crafted_rows_join_the_trained_table_in_its_int32_columns(monkeypatch):
+    config = small_config(
+        rounds=8,
+        attack=AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=6, filler_count=2),
+    )
+    crafted, tables = [], []
+    real_craft, real_aggregate = AttackRuntime.crafted_updates, federation.aggregate_round
+
+    def spy_craft(runtime, embeddings, streams):
+        crafted.append(real_craft(runtime, embeddings, streams))
+        return crafted[-1]
+
+    def spy_aggregate(spec, items, who, scale, sources, bank):
+        tables.append((items.copy(), who.copy(), scale.copy(), len(sources)))
+        return real_aggregate(spec, items, who, scale, sources, bank)
+
+    monkeypatch.setattr(AttackRuntime, "crafted_updates", spy_craft)
+    monkeypatch.setattr(federation, "aggregate_round", spy_aggregate)
+    run_experiment(config)
+    assert [fake_items.size > 0 for _, fake_items, _ in crafted] == [False] * 5 + [True] * 3
+    for (_, fake_items, fake_deltas), (items, who, scale, sources) in zip(crafted, tables):
+        assert items.dtype == who.dtype == np.int32  # the crafted int64 items do not widen it
+        tail = slice(items.size - fake_items.size, None)  # the crafted rows come last, at scale 1
+        assert np.array_equal(items[tail], fake_items)
+        assert np.array_equal(who[tail], np.arange(sources - len(fake_deltas), sources))
+        assert np.all(scale[tail] == 1.0)
+
+
 def test_baseline_fakes_join_training_at_start_round(monkeypatch):
     config = small_config(
         rounds=8,

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedrec_arena.model import ItemEmbeddings, UserProfile, train_step
+from fedrec_arena.model import ItemEmbeddings, UserProfile, _sigmoid, train_step
 from fedrec_arena.evaluation import rank_metrics
 
-from reference import bpr_loss, predict_score, user_table
+from reference import bpr_loss, predict_score, sigmoid, user_table
 
 
 def profile_with(u, interacted=(), train=(), test=None):
@@ -217,6 +217,37 @@ def test_train_step_does_not_depend_on_the_sort_key_width(num_items):
     wide = train_step(users, padded, owner, pos, neg, 0.05)
     for a, b in zip(narrow, wide):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_train_step_key_widens_to_int64_only_when_users_times_items_reaches_2_31():
+    # the same pairs on tables padded with users and items no pair names
+    rng = np.random.default_rng(3)
+    num_users, num_items, dim = 30, 50, 4
+    users = rng.normal(size=(num_users, dim))
+    matrix = rng.normal(size=(num_items, dim))
+    owner = np.repeat(np.arange(num_users), rng.integers(1, 8, size=num_users))
+    pos = rng.integers(0, num_items, size=owner.size)
+    neg = rng.integers(0, num_items, size=owner.size)
+    narrow = train_step(users, matrix, owner, pos, neg, 0.05)
+    many_users = np.concatenate((users, np.ones((2**16 - num_users, dim))))
+    for padded_items, width in ((2**15 - 1, np.int32), (2**15, np.int64)):
+        padded = np.concatenate((matrix, np.ones((padded_items - num_items, dim))))
+        wide = train_step(many_users, padded, owner, pos, neg, 0.05)
+        assert wide[0].dtype == wide[1].dtype == width  # 2**16 * 2**15 == 2**31
+        for a, b in zip(narrow[:3], wide[:3]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(wide[3][:num_users], narrow[3])
+    assert narrow[0].dtype == narrow[1].dtype == np.int32
+
+
+def test_sigmoid_matches_the_two_branch_reference_bit_for_bit():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 36.7, -36.7,
+               709.8, -745.2, 1e-300, -1e-300, 5e-324, -5e-324]
+    payloads = np.array([0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+    x = np.concatenate((special, payloads, np.random.default_rng(0).normal(scale=20.0, size=10_001)))
+    with np.errstate(all="ignore"):
+        for part in (x, x[1:], x[::3]):  # odd lengths and a strided view
+            assert _sigmoid(part).tobytes() == sigmoid(part).tobytes()
 
 
 def test_train_step_peak_memory_stays_a_few_pair_arrays():
