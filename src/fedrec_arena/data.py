@@ -3,7 +3,11 @@
 All ids are dense integers starting at 0. Feedback is implicit: ratings in
 input files are parsed and thrown away, only (user, item, order) survives.
 A dataset is three parallel int64 arrays in ingestion order; ``leave_one_out_split``
-turns it into the train rows by user and held-out items that ``UserTable.build`` reads.
+turns it into the train rows by user and held-out items that ``UserTable.build`` reads,
+finding each held-out row from per-user maxima, without a sort.
+``generate_synthetic`` draws users in blocks of about ``_BLOCK_CELLS`` scores,
+each block's top-k taken row-wise by ``top_k``; it gives the dataset a loop
+over users would, bit for bit.
 Negative sampling reads the run's ``UserTable``: its interaction mask and
 each user's train items.
 """
@@ -16,6 +20,10 @@ from typing import IO, Iterable
 import numpy as np
 
 from .model import UserTable
+
+# synthesis scores per block of users: 1 MB of float64, so a block's few
+# temporaries stay below the peak memory of a run's rounds
+_BLOCK_CELLS = 2**17
 
 
 class RatingsParseError(ValueError):
@@ -103,15 +111,19 @@ def leave_one_out_split(dataset: InteractionDataset) -> tuple[np.ndarray, np.nda
     Returns ``(owners, train_items, test_items)``, as ``UserTable.build`` reads them:
     the train rows by ascending user, each user's in ingestion order, and per user
     the held-out item or -1. A user's single interaction stays in train.
+    Nothing is sorted to find the held-out row: one pass takes each user's
+    largest order key, a second the largest item among the rows at that key.
+    A (user, item) pair does not repeat, so that names exactly one row.
     """
-    users, items = dataset.users, dataset.items
-    last = np.lexsort((items, dataset.orders, users))  # by user, then order key, then item
+    users, items, orders = dataset.users, dataset.items, dataset.orders
+    last_order = np.full(dataset.num_users, np.iinfo(np.int64).min)
+    np.maximum.at(last_order, users, orders)
+    at_last = orders == last_order[users]
+    last_item = np.full(dataset.num_users, -1, dtype=np.int64)
+    np.maximum.at(last_item, users[at_last], items[at_last])
     counts = np.bincount(users, minlength=dataset.num_users)
-    tested = np.flatnonzero(counts >= 2)
-    held = last[np.cumsum(counts)[tested] - 1]
-    test_items = np.full(dataset.num_users, -1, dtype=np.int64)
-    test_items[tested] = items[held]
-    train = np.delete(np.arange(users.size), held)
+    test_items = np.where(counts >= 2, last_item, -1)
+    train = np.flatnonzero(items != test_items[users])
     train = train[np.argsort(users[train], kind="stable")]
     return users[train], items[train], test_items
 
@@ -175,6 +187,11 @@ def generate_synthetic(
     exp(affinity) * (popularity_rank + 1) ** -popularity_skew.
     The per-user sampling sequence is the order key. The shape is one that
     ``check_synthetic_shape`` accepts, as ``DatasetConfig`` has checked.
+    Users are drawn in blocks of about ``_BLOCK_CELLS`` scores: one stack of
+    per-user gemvs, one Gumbel draw and one row-wise ``top_k`` a block. A
+    stacked gemv gives each user's affinities bit for bit, and the draw reads
+    the stream in the order user-by-user draws would, so the dataset is the
+    one a loop over users gives.
     """
     user_factors = rng.normal(0.0, 1.0, size=(n_users, latent_dim))
     item_factors = rng.normal(0.0, 1.0, size=(n_items, latent_dim))
@@ -185,23 +202,40 @@ def generate_synthetic(
     affinity_scale = 1.2 / math.sqrt(latent_dim)
 
     chosen = np.empty((n_users, interactions_per_user), dtype=np.int64)
-    for user in range(n_users):
-        score = (
-            affinity_scale * (item_factors @ user_factors[user])
-            + popularity_logit
-            + rng.gumbel(0.0, 1.0, size=n_items)
-        )
-        chosen[user] = top_k(score, interactions_per_user)
+    block = max(1, _BLOCK_CELLS // n_items)
+    for lo in range(0, n_users, block):
+        hi = min(lo + block, n_users)
+        # a stack of gemvs, not one gemm: a gemm's sums can differ in the last bit
+        score = (item_factors @ user_factors[lo:hi, :, None])[..., 0]
+        score *= affinity_scale
+        score += popularity_logit
+        score += rng.gumbel(0.0, 1.0, size=score.shape)
+        chosen[lo:hi] = top_k(score, interactions_per_user)
     users, orders = np.indices(chosen.shape).reshape(2, -1)
     return InteractionDataset(n_users, n_items, users, chosen.ravel(), orders)
 
 
 def top_k(score: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(-score, kind="stable")[:k]``, sorting only the entries at or
-    above the k-th largest score: ties at the cut go to the lower ids."""
-    cut = np.partition(score, score.size - k)[score.size - k]
-    candidates = np.flatnonzero(score >= cut)
-    return candidates[np.argsort(-score[candidates], kind="stable")[:k]]
+    """Row by row, ``np.argsort(-row, kind="stable")[:k]`` of a 1-D score or
+    of each row of a 2-D one (then a (rows, k) array).
+
+    ``np.partition`` finds each row's cut, its k-th largest score, and only the
+    entries at or above the cut are sorted, by (-score, id). Ties at the cut go
+    to the lower ids: where some row has more than k entries at or above its
+    cut, a cumsum over each row's entries at the cut keeps its lowest ids.
+    """
+    rows = np.atleast_2d(score)
+    n = rows.shape[1]
+    cut = np.partition(rows, n - k, axis=1)[:, n - k, None]
+    kept = rows >= cut
+    if np.count_nonzero(kept) > k * len(rows):
+        at_cut = rows == cut
+        room = k - np.count_nonzero(rows > cut, axis=1)
+        kept &= ~at_cut | (np.cumsum(at_cut, axis=1) <= room[:, None])
+    flat = np.flatnonzero(kept).reshape(-1, k)  # k a row, each row's ids ascending
+    order = np.argsort(-rows.ravel()[flat], axis=1, kind="stable")
+    chosen = np.take_along_axis(flat, order, axis=1) % n
+    return chosen if score.ndim == 2 else chosen[0]
 
 
 def dump_dataset(dataset: InteractionDataset, fp: IO[str]) -> None:

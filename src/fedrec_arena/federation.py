@@ -267,24 +267,28 @@ def run_round(
         rows = np.sort(streams.participation(round_index).choice(count, size=keep, replace=False))
 
     owner, pos, neg = draw_round_pairs(users, rows, streams.negatives(round_index))
-    user_rows = users.embeddings[rows]
+    # crafting changes no state, so sources is built once, before training: the
+    # participants' old embeddings, then the crafted rows. Mode "clip" gathers
+    # in place, "raise" into a temporary first; rows holds valid row ids.
+    fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, streams)
+    sources = np.empty((rows.size + len(fake_deltas), embeddings.dim))
+    np.take(users.embeddings, rows, axis=0, out=sources[:rows.size], mode="clip")
+    sources[rows.size:] = fake_deltas
     items, who, scale, stepped = train_step(
-        user_rows, embeddings.matrix, owner, pos, neg, learning_rate
+        sources[:rows.size], embeddings.matrix, owner, pos, neg, learning_rate
     )
     del owner, pos, neg  # O(pairs) arrays that no later step reads
     users.embeddings[rows] = stepped
-    fake_ids, fake_items, fake_deltas = attack.crafted_updates(embeddings, streams)
 
-    # Row k of the table is scale[k] * sources[who[k]], never built here: the
-    # old participant embeddings, then the crafted rows at scale 1. train_step's
-    # columns own their data and nothing views them, so they are resized in
-    # place, not concatenated into new columns, and keep their dtypes.
+    # Row k of the table is scale[k] * sources[who[k]], never built here; the
+    # crafted rows are at scale 1. train_step's columns own their data and
+    # nothing views them, so they are resized in place, not concatenated into
+    # new columns, and keep their dtypes.
     trained = items.size
-    sources = np.concatenate((user_rows, fake_deltas))
     for column in (items, who, scale):
         column.resize(trained + fake_items.size, refcheck=False)
     items[trained:] = fake_items
-    who[trained:] = np.arange(len(user_rows), len(sources))
+    who[trained:] = np.arange(rows.size, len(sources))
     scale[trained:] = 1.0
     contributors = np.concatenate((rows, fake_ids), dtype=np.int32)[who]
     footprints[contributors, items] = True

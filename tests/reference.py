@@ -1,9 +1,11 @@
 """Per-user and per-item reference code that the engine's array paths are tested against.
 
 ``leave_one_out_split`` and ``generate_synthetic`` are the per-user split
-(a walk into ``train_set``/``test_set`` dicts) and synthesis (a full
-stable sort of every user's scores) that ``data`` replaced with array
-code; ``dataset``, ``interactions`` and ``as_dicts`` convert between the
+(a walk into ``train_set``/``test_set`` dicts, taking each user's max (order
+key, item)) and synthesis (one gemv, one Gumbel draw and a full stable sort
+of the scores per user) that ``data`` replaced with array code: a split from
+per-user maxima, without a sort, and synthesis in blocks of users with a
+row-wise top-k; ``dataset``, ``interactions`` and ``as_dicts`` convert between the
 array dataset and split and their tuple and dict forms.
 ``sample_pairs`` and ``local_train`` are the per-user sampling and training
 path the round engine replaced with ``data.draw_round_pairs`` and

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from fedrec_arena import data
 from fedrec_arena.data import (
     EmptyDatasetError,
     RatingsParseError,
@@ -143,6 +144,24 @@ def test_split_edge_cases_match_reference():
     assert train.tolist() == [2, 5, 0, 1, 0]
     assert test.tolist() == [3, -1, -1, 4]
     assert as_dicts((owners, train, test)) == reference.leave_one_out_split(ds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_matches_reference_with_negative_and_extreme_order_keys(seed):
+    """Order keys below zero and at int64's ends: the per-user maxima start
+    from a sentinel, and a user whose keys all sit at the minimum still
+    holds out its largest item."""
+    lowest, highest = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    rng = np.random.default_rng(seed)
+    keys = np.array([lowest, lowest + 1, -7, -1, 0, highest - 1, highest])
+    rows = [
+        (u, int(i), int(rng.choice(keys[:2] if u % 5 == 0 else keys)))
+        for u in range(40)
+        for i in rng.choice(12, rng.integers(0, 7), replace=False)
+    ]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    ds = dataset(41, 12, rows)
+    assert as_dicts(leave_one_out_split(ds)) == reference.leave_one_out_split(ds)
 
 
 # ---------------------------------------------------------------- pair sampling
@@ -288,6 +307,31 @@ def test_synthetic_matches_full_sort_reference(users, items, per_user, seed):
         users, items, 4, per_user, 1.0, np.random.default_rng(seed)
     )
     assert interactions(ds) == expected
+
+
+def test_synthetic_matches_reference_over_several_user_blocks_and_a_short_last_one():
+    items = 300
+    block = data._BLOCK_CELLS // items
+    users = 3 * block + 5
+    ds = generate_synthetic(users, items, 4, 6, 1.0, np.random.default_rng(9))
+    expected = reference.generate_synthetic(users, items, 4, 6, 1.0, np.random.default_rng(9))
+    assert interactions(ds) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_top_k_of_rows_with_and_without_ties_at_the_cut(k):
+    """A block mixing untied rows, rows of a few repeated values and a
+    constant row: each row is its own stable argsort's first k."""
+    rng = np.random.default_rng(k)
+    score = np.vstack((
+        rng.normal(size=(3, 40)),
+        rng.integers(0, 3, size=(3, 40)).astype(float),
+        np.full((1, 40), 0.25),
+        rng.normal(size=(2, 40)),
+    ))
+    expected = [np.argsort(-row, kind="stable")[:k].tolist() for row in score]
+    assert top_k(score, k).tolist() == expected
+    assert top_k(score[[0, 7, 8]], k).tolist() == [expected[0], expected[7], expected[8]]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8])
