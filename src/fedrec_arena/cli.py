@@ -241,6 +241,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.output)
     try:
+        if args.seed < 0:
+            raise ValueError("seed must be >= 0")
         config = DatasetConfig(
             users=args.users, items=args.items, latent_dim=args.latent_dim,
             interactions_per_user=args.per_user, popularity_skew=args.skew,

@@ -80,13 +80,14 @@ def rank_metrics(
         target_ahead[part] = ahead(scores, target_item, interacted)
 
     ranks, target_ahead = test_ahead[tested] + 1, target_ahead[eligible]
+    rank_gains = 1.0 / np.log2(ranks + 1)
     hr_at, target_hr_at, ndcg_at = {}, {}, {}
     for k in ks:
         hr_at[k] = int((ranks <= k).sum()) / ranks.size
         target_hr_at[k] = int((target_ahead < k).sum()) / target_ahead.size
-        # summed in row order, one scalar gain at a time
-        gains = [1.0 / np.log2(r + 1) if r <= k else 0.0 for r in ranks.tolist()]
-        ndcg_at[k] = float(sum(gains) / len(gains))
+        # summed in row order: np.sum adds pairwise, and Python 3.12's sum() compensates
+        gains = np.where(ranks <= k, rank_gains, 0.0)
+        ndcg_at[k] = float(np.cumsum(gains)[-1] / gains.size)
     return hr_at, target_hr_at, ndcg_at
 
 

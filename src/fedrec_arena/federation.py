@@ -28,7 +28,10 @@ and that some user never interacted with the target. Each such refusal is a
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose tag, round[, actor id]). A round's negatives come from
 one stream consumed in user-id order, each user's train items in order, so
-results are bit-identical for a fixed seed.
+results are bit-identical for a fixed seed. Each genuine user's initial
+embedding has its own stream, keyed by user id; ``SeedStreams.user_inits``
+draws every user's stream in one array pass, with the same bits as one numpy
+generator per user.
 """
 from __future__ import annotations
 
@@ -63,6 +66,75 @@ class ConfigError(ValueError):
     """A config, or the data it names, that cannot run; the message names its key."""
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier, as uint64 limbs, and its low limb's 32-bit halves
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & 2**64 - 1
+_MULT_LO_0, _MULT_LO_1 = _PCG_MULT & _MASK32, _PCG_MULT >> 32 & _MASK32
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for many entropies at once.
+
+    ``entropy`` lists the assembled entropy's uint32 words, each an array with
+    one entry per stream; the result is the four uint64 words, likewise.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # entropy beyond the pool mixes into every pool word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]  # little-endian pairs
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step, ``state * _PCG_MULT + inc``, on (hi, lo) uint64 limbs."""
+    # the high limb of lo * _MULT_LO, from the products of their 32-bit halves
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    cross0, cross1 = lo0 * _MULT_LO_1, lo1 * _MULT_LO_0
+    mid = (lo0 * _MULT_LO_0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    high = lo1 * _MULT_LO_1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    new_lo = lo * _MULT_LO + inc_lo
+    return high + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int's 32-bit words, lowest first, as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
 class SeedStreams:
     """Spawns independent, reproducible RNG substreams from one master seed."""
 
@@ -75,8 +147,34 @@ class SeedStreams:
     def item_init(self) -> np.random.Generator:
         return self._stream(_ITEM_INIT)
 
-    def user_init(self, user_id: int) -> np.random.Generator:
-        return self._stream(_USER_INIT, user_id)
+    def user_inits(self, count: int, dim: int) -> np.ndarray:
+        """(count, dim) initial user embeddings, row u drawn from user u's own stream.
+
+        Row u is ``self._stream(_USER_INIT, u).uniform(-INIT_SCALE, INIT_SCALE,
+        dim)`` bit for bit, drawn for every user at once: SeedSequence's pool
+        mixing and state words as uint32 array passes over the user-id word,
+        then PCG64's seeding and its 128-bit LCG steps with XSL-RR output on
+        uint64 limbs, and ``low + (high - low) * ((x >> 11) * 2**-53)`` per draw.
+        """
+        key = [*_uint32_words(int(self.master_seed)), _USER_INIT]
+        entropy = [np.full(count, word, dtype=np.uint32) for word in key]
+        seed_hi, seed_lo, seq_hi, seq_lo = _seed_state([*entropy, np.arange(count, dtype=np.uint32)])
+        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1  # (seq << 1) | 1
+        # seeding: the zero state steps to inc, takes the seed in, and steps again
+        lo = inc_lo + seed_lo
+        hi, lo = _pcg64_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+        unit = np.empty((count, dim))
+        for j in range(dim):
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> 58  # XSL-RR: fold the halves, rotate right by the top 6 bits
+            unit[:, j] = (x >> rot | x << (-rot & 63)) >> 11
+        # low + (high - low) * unit, in place: each temporary the size of the
+        # table would be one more setup allocation for the rounds' heap to sit above
+        low, high = -INIT_SCALE, INIT_SCALE
+        unit *= 2.0**-53
+        unit *= high - low
+        unit += low
+        return unit
 
     def negatives(self, round_index: int) -> np.random.Generator:
         return self._stream(_PAIRS, round_index)
@@ -145,6 +243,8 @@ class ExperimentConfig:
             raise ValueError("federation.participation must be in (0, 1]")
         if self.dim < 1:
             raise ValueError("model.dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.threads != 1:
             raise ValueError("threads must be 1: a round trains every participant in one pass")
         if any(k < 1 for k in self.topk):
@@ -219,11 +319,9 @@ def build_user_table(
 ) -> UserTable:
     """Every user of the run: the split's genuine users, then one fake per ``fake_items`` row."""
     owners, train_items, test_items = split
-    genuine = range(test_items.size)
-    embeddings = [streams.user_init(u).uniform(-INIT_SCALE, INIT_SCALE, size=dim) for u in genuine]
-    fakes = np.arange(len(genuine), len(genuine) + len(fake_items))
+    fakes = np.arange(test_items.size, test_items.size + len(fake_items))
     return UserTable.build(
-        np.concatenate((np.reshape(embeddings, (-1, dim)), fake_embeddings)),
+        np.concatenate((streams.user_inits(test_items.size, dim), fake_embeddings)),
         num_items,
         np.concatenate((owners, np.repeat(fakes, fake_items.shape[1]))),
         np.concatenate((train_items, fake_items.ravel())),

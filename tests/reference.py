@@ -10,7 +10,9 @@ array dataset and split and their tuple and dict forms.
 ``sample_pairs`` and ``local_train`` are the per-user sampling and training
 path the round engine replaced with ``data.draw_round_pairs`` and
 ``model.train_step``; ``user_table`` puts such per-user profiles into the
-engine's ``UserTable``; ``sigmoid`` is the two-branch logistic that
+engine's ``UserTable``, and ``user_inits`` draws their initial embeddings from
+one numpy stream per user, which ``SeedStreams.user_inits`` draws in one array
+pass; ``sigmoid`` is the two-branch logistic that
 ``model._sigmoid`` replaced, ``bpr_loss`` the finite-difference oracle for the
 gradient, and ``predict_score`` the dot-product score. ``aggregate_item``
 and the ``agg_*`` functions are the per-item aggregation path that
@@ -25,6 +27,7 @@ import numpy as np
 
 from fedrec_arena.aggregation import AggregatorSpec
 from fedrec_arena.data import InteractionDataset, check_synthetic_shape
+from fedrec_arena.federation import INIT_SCALE, _USER_INIT
 from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable
 
 
@@ -144,6 +147,16 @@ def user_table(profiles: Sequence[UserProfile], num_items: int, dim: int) -> Use
     for row, p in enumerate(profiles):
         table.interacted[row, list(p.interacted)] = True
     return table
+
+
+def user_inits(seed: int, count: int, dim: int) -> np.ndarray:
+    """Users 0..count-1's initial embeddings, each from its own keyed stream, one user at a time."""
+    rows = [
+        np.random.default_rng(np.random.SeedSequence([seed, _USER_INIT, u]))
+        .uniform(-INIT_SCALE, INIT_SCALE, size=dim)
+        for u in range(count)
+    ]
+    return np.reshape(rows, (count, dim))
 
 
 def sample_pairs(profile: UserProfile, num_items: int, rng: np.random.Generator) -> np.ndarray:

@@ -168,12 +168,16 @@ def test_run_integer_for_a_float_field_runs_as_the_float(tmp_path):
         ("model", "dim", 0, "model.dim must be >= 1"),
         ("eval", "topk", [0], "eval.topk entry"),
         ("eval", "dump_round", 11, "eval.dump_round must lie in [1, federation.rounds]"),
+        (None, "seed", -1, "seed must be >= 0"),
     ],
 )
 def test_run_value_that_cannot_run_exits_2(tmp_path, capsys, section, key, value, message):
     attack = {"kind": "poisonfrs", "fake_fraction": 0.1, "start_round": 5, "filler_count": 2}
     document = dict(MINIMAL, attack=attack)
-    document[section] = {**document.get(section, {}), key: value}
+    if section is None:  # a top-level key
+        document[key] = value
+    else:
+        document[section] = {**document.get(section, {}), key: value}
     config = write_config(tmp_path, document)  # json writes nan as NaN, which json reads back
     out = tmp_path / "o"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
@@ -454,6 +458,14 @@ def test_synth_zero_users_exits_2(tmp_path, capsys):
     assert main(["synth", "--users", "0", "--items", "10", "--per-user", "5", "--output",
                  str(new / "x.tsv")]) == 2
     assert capsys.readouterr().err == "error: dataset.users must be >= 1\n"
+    assert not new.exists()
+
+
+def test_synth_negative_seed_exits_2(tmp_path, capsys):
+    new = tmp_path / "new"
+    assert main(["synth", "--users", "10", "--items", "10", "--per-user", "5", "--seed", "-1",
+                 "--output", str(new / "x.tsv")]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert not new.exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,9 +102,16 @@ def reference_metrics(profiles, emb, target_item, ks):
         hr_at[k] = sum(1 for r in ranks if r <= k) / len(ranks)
         hits = sum(1 for p in eligible if target_item in reference_topk(p, emb, k))
         target_hr_at[k] = hits / len(eligible)
-        gains = [1.0 / np.log2(r + 1) if r <= k else 0.0 for r in ranks]
-        ndcg_at[k] = float(sum(gains) / len(gains))
+        ndcg_at[k] = ndcg_in_row_order(ranks, k)
     return hr_at, target_hr_at, ndcg_at
+
+
+def ndcg_in_row_order(ranks, k):
+    """Mean NDCG gain, added one rank at a time in row order."""
+    acc = 0.0
+    for r in ranks:
+        acc += 1.0 / np.log2(r + 1) if r <= k else 0.0
+    return float(acc / len(ranks))
 
 
 def assert_matches_reference(profiles, emb, target_item, ks):
@@ -232,6 +241,22 @@ def test_ndcg_never_exceeds_hr():
         for k in (1, 3, 10):
             hr, ndcg = held_out(users, emb, k)
             assert ndcg <= hr + 1e-12
+
+
+def test_ndcg_sums_its_gains_in_row_order():
+    # item i scores -i for a user of embedding [1], so a held-out item t ranks t + 1
+    rng = np.random.default_rng(0)
+    num_items = 1000
+    emb = embeddings(-np.arange(num_items, dtype=float)[:, None])
+    tests = rng.integers(0, num_items, size=500).tolist()
+    users = [profile(u, [1.0], interacted={t}, test=t) for u, t in enumerate(tests)]
+    ranks = [t + 1 for t in tests]
+    _, _, ndcg_at = batched(users, emb, 0, (5, 10, num_items))
+    for k in (5, 10, num_items):
+        assert ndcg_at[k] == ndcg_in_row_order(ranks, k)
+    # at k = items, the row-order sum differs from the correctly rounded one a compensated sum gives
+    gains = [1.0 / np.log2(r + 1) for r in ranks]
+    assert ndcg_at[num_items] != math.fsum(gains) / len(gains)
 
 
 # ------------------------------------------ batched ranking vs the reference

@@ -24,7 +24,7 @@ from fedrec_arena.federation import (
 from fedrec_arena.model import ItemEmbeddings, UserProfile, UserTable
 
 from reference import (
-    DegenerateUserError, as_dicts, local_train, sample_pairs, user_table,
+    DegenerateUserError, as_dicts, local_train, sample_pairs, user_inits, user_table,
 )
 
 
@@ -722,6 +722,16 @@ def test_result_footprints_mark_every_upload(monkeypatch):
 
 
 # ------------------------------------------------------------- streams
+
+# 2**32 takes two entropy words; 2**64 + 3 takes three, so five in all, one
+# more than SeedSequence's pool, which runs its extra-entropy mixing
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("dim", [1, 32])
+def test_user_inits_equal_numpys_per_user_streams(seed, count, dim):
+    got, want = SeedStreams(seed).user_inits(count, dim), user_inits(seed, count, dim)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 def test_seed_streams_reproducible_and_disjoint():
     a = SeedStreams(5)
