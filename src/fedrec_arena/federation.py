@@ -9,11 +9,14 @@ contributors ascend. Row k is ``scale[k] * sources[who[k]]`` and is built
 only inside ``aggregation.aggregate_round``, which groups the rows by item
 itself and aggregates every touched item in one call.
 
-A run keeps no round's table: every round marks one (users, items) footprint
-matrix in place, and its ``RoundLedger`` keeps the target item's contributors
-and the items that fell back to the median. The ledger of the dump round
-(``ExperimentConfig.dump_round``) also keeps the contributors' target rows,
-which is all that ``cli`` exports to ``target_updates.csv``.
+An ``Experiment`` is one run's whole state, fixed at setup: item embeddings,
+user table, attack, aggregator spec (krum_m filled in), HiCS bank and
+footprints; ``run_round(run)`` steps it one round in place, and
+``Experiment.run`` loops over the rounds, once. No round's table is kept: a
+round marks the (users, items) footprints, and its ``RoundLedger`` keeps the
+target item's contributors and the items that fell back to the median; the
+dump round's (``ExperimentConfig.dump_round``) also keeps their target rows,
+all that ``cli`` exports to ``target_updates.csv``.
 
 A run is refused one way, before round 1. Each config dataclass is frozen and
 checks its own fields when it is built, among them the synthetic shape
@@ -334,34 +337,28 @@ def init_embeddings(num_items: int, dim: int, streams: SeedStreams) -> ItemEmbed
     return ItemEmbeddings(round=1, matrix=matrix)
 
 
-def run_round(
-    embeddings: ItemEmbeddings,
-    users: UserTable,
-    attack: AttackRuntime,
-    spec: AggregatorSpec,
-    streams: SeedStreams,
-    learning_rate: float,
-    participation: float,
-    bank: np.ndarray,
-    footprints: np.ndarray,
-    capture_target: bool = False,
-) -> tuple[ItemEmbeddings, RoundLedger]:
-    """One global round: local training, fake uploads, aggregation.
+def run_round(run: Experiment) -> RoundLedger:
+    """One global round of ``run``: local training, fake uploads, aggregation.
 
-    Participants are table rows in id order: the genuine users, and the
-    baseline fakes from the attack's start round on. Items nobody touched
-    carry over bit-identically. ``bank`` (the HiCS bank, one row per item) and
-    ``footprints`` (users, items) are carried between rounds and updated in place.
+    Reads ``run.embeddings`` (the broadcast, which the attack observes first),
+    ``run.users``, ``run.attack``, ``run.spec``, ``run.streams`` and ``run.config``'s
+    learning rate, participation and dump round. Participants are table rows in
+    id order: the genuine users, then the baseline fakes from the attack's start
+    round on. Items nobody touched carry over bit-identically. ``run.embeddings``
+    moves on to the next model; ``run.users``, ``run.bank`` (the HiCS bank, one
+    row per item) and ``run.footprints`` (users, items) are updated in place.
     """
+    embeddings, users, attack, streams = run.embeddings, run.users, run.attack, run.streams
     round_index = embeddings.round
+    attack.observe_broadcast(embeddings)
     # the next model outlives the round: copied before the round's temporaries,
     # it does not end up above them on the heap, which can then shrink as they go
     matrix = embeddings.matrix.copy()
 
     count = len(users) if attack.active(round_index) else attack.num_genuine
     rows = np.arange(count)
-    if participation < 1.0 and count:
-        keep = max(1, int(round(participation * count)))
+    if run.config.participation < 1.0 and count:
+        keep = max(1, int(round(run.config.participation * count)))
         rows = np.sort(streams.participation(round_index).choice(count, size=keep, replace=False))
 
     owner, pos, neg = draw_round_pairs(users, rows, streams.negatives(round_index))
@@ -373,7 +370,7 @@ def run_round(
     np.take(users.embeddings, rows, axis=0, out=sources[:rows.size], mode="clip")
     sources[rows.size:] = fake_deltas
     items, who, scale, stepped = train_step(
-        sources[:rows.size], embeddings.matrix, owner, pos, neg, learning_rate
+        sources[:rows.size], embeddings.matrix, owner, pos, neg, run.config.learning_rate
     )
     del owner, pos, neg  # O(pairs) arrays that no later step reads
     users.embeddings[rows] = stepped
@@ -389,25 +386,29 @@ def run_round(
     who[trained:] = np.arange(rows.size, len(sources))
     scale[trained:] = 1.0
     contributors = np.concatenate((rows, fake_ids), dtype=np.int32)[who]
-    footprints[contributors, items] = True
+    run.footprints[contributors, items] = True
 
-    touched, deltas, fallbacks = aggregate_round(spec, items, who, scale, sources, bank)
+    touched, deltas, fallbacks = aggregate_round(run.spec, items, who, scale, sources, run.bank)
     matrix[touched] += deltas
     if fallbacks.size:
         aggregation_log.warning(
             "round %d: %s degenerate on %d items, fell back to median: %s",
-            round_index, spec.rule, fallbacks.size, fallbacks.tolist(),
+            round_index, run.spec.rule, fallbacks.size, fallbacks.tolist(),
         )
 
     # ascending: training emits (item, user) order and the crafted rows come last
     hits = np.flatnonzero(items == attack.target_item)
-    target_rows = sources[who[hits]] * scale[hits, None] if capture_target else None
-    ledger = RoundLedger(round_index, fallbacks, contributors[hits], target_rows)
-    return ItemEmbeddings(round_index + 1, matrix), ledger
+    target_rows = sources[who[hits]] * scale[hits, None] if run.config.dump_round == round_index else None
+    target_users = contributors[hits]
+    # the temporaries go before the broadcast model, which ``embeddings`` holds
+    # until return; the other way round, large's peak RSS took its high heap mode
+    del rows, fake_ids, fake_items, fake_deltas, sources, items, who, scale, stepped, contributors
+    run.embeddings = ItemEmbeddings(round_index + 1, matrix)
+    return RoundLedger(round_index, fallbacks, target_users, target_rows)
 
 
 class Experiment:
-    """One run: building it is the setup, which raises ConfigError on data it cannot run."""
+    """One run's state: building it is the setup, which raises ConfigError on data it cannot run."""
 
     def __init__(self, config: ExperimentConfig):
         self.started = time.perf_counter()
@@ -426,32 +427,29 @@ class Experiment:
         target_item = config.attack.target_item
         if target_item is None:  # the least train-interacted item, ties toward the lowest id
             target_item = int(np.argmin(train_counts))
-        self.attack = AttackRuntime(config.attack, dataset.num_users, target_item)
-        fakes = self.attack.baseline_fakes(train_counts, config.dim, streams.baseline())
+        self.attack = attack = AttackRuntime(config.attack, dataset.num_users, target_item)
+        fakes = attack.baseline_fakes(train_counts, config.dim, streams.baseline())
         self.users = build_user_table(split, dataset.num_items, config.dim, streams, *fakes)
         if self.users.interacted[: dataset.num_users, target_item].all():
             raise ConfigError(f"attack.target_item: every user has interacted with item {target_item}")
 
-    def run(self) -> ExperimentResult:
-        """Run every round on ``users`` and ``embeddings`` in place, so an Experiment runs once."""
-        config, attack, users = self.config, self.attack, self.users
-        num_genuine, target_item = attack.num_genuine, attack.target_item
+        del dataset, split, train_counts, fakes  # before the carried arrays: above them, peak RSS rose
         spec = config.aggregator  # an unset krum_m defaults to the true fake count
-        if spec.krum_m is None:
-            spec = replace(spec, krum_m=attack.num_fakes)
-        bank = np.zeros_like(self.embeddings.matrix)  # HiCS carry-over, empty every run
+        self.spec = spec if spec.krum_m is not None else replace(spec, krum_m=attack.num_fakes)
+        self.bank = np.zeros_like(self.embeddings.matrix)  # HiCS carry-over, empty every run
+        shape = (attack.num_genuine + attack.num_fakes, self.embeddings.num_items)
+        self.footprints = np.zeros(shape, dtype=bool)
 
-        footprints = np.zeros((num_genuine + attack.num_fakes, self.embeddings.num_items), dtype=bool)
+    def run(self) -> ExperimentResult:
+        """Run every round on this state in place, so a second call raises RuntimeError."""
+        if self.embeddings.round != 1:
+            raise RuntimeError(f"an Experiment runs once; this one is at round {self.embeddings.round}")
+        config, attack, users, num_genuine = self.config, self.attack, self.users, self.attack.num_genuine
         metrics: list[evaluation.MetricsRecord] = []
         ledgers: list[RoundLedger] = []
 
         for round_index in range(1, config.rounds + 1):
-            attack.observe_broadcast(self.embeddings)
-            self.embeddings, ledger = run_round(
-                self.embeddings, users, attack, spec, self.streams, config.learning_rate,
-                config.participation, bank, footprints, config.dump_round == round_index,
-            )
-            ledgers.append(ledger)
+            ledgers.append(run_round(self))
             if not np.isfinite(self.embeddings.matrix).all():
                 raise FloatingPointError(f"round {round_index}: item embeddings are not finite")
 
@@ -459,19 +457,19 @@ class Experiment:
                 if not np.isfinite(users.embeddings[:num_genuine]).all():
                     raise FloatingPointError(f"round {round_index}: user embeddings are not finite")
                 ranked = evaluation.rank_metrics(
-                    users, num_genuine, self.embeddings, target_item, config.topk
+                    users, num_genuine, self.embeddings, attack.target_item, config.topk
                 )
-                footprint = evaluation.footprint_stats(footprints[:num_genuine].sum(axis=1))
+                footprint = evaluation.footprint_stats(self.footprints[:num_genuine].sum(axis=1))
                 metrics.append(evaluation.MetricsRecord(round_index, *ranked, footprint))
 
         return ExperimentResult(
             config=config,
-            target_item=target_item,
+            target_item=attack.target_item,
             num_genuine=num_genuine,
             num_fakes=attack.num_fakes,
             metrics=metrics,
             ledgers=ledgers,
-            footprints=footprints,
+            footprints=self.footprints,
             final_embeddings=self.embeddings,
             profiles=users.profiles(num_genuine),
             wall_time=time.perf_counter() - self.started,

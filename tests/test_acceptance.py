@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -409,10 +410,13 @@ def test_criterion_7_exact_capture():
     runtime.observe_broadcast(emb)
     no_users = UserTable.build(np.empty((0, 32)), 100, [], [], [])
     footprints = np.zeros((200 + runtime.num_fakes, 100), dtype=bool)
-    after, ledger = run_round(
-        emb, no_users, runtime, AggregatorSpec(rule="fedavg"), SeedStreams(0),
-        0.05, 1.0, np.zeros_like(emb.matrix), footprints,
+    run = SimpleNamespace(
+        embeddings=emb, users=no_users, attack=runtime, spec=AggregatorSpec(rule="fedavg"),
+        streams=SeedStreams(0), config=ExperimentConfig(learning_rate=0.05, participation=1.0),
+        bank=np.zeros_like(emb.matrix), footprints=footprints,
     )
+    ledger = run_round(run)
+    after = run.embeddings
     err = np.max(np.abs(after.matrix[4] - runtime.scaled_target))
     contributors = ledger.target_users.size
     report(

@@ -1,6 +1,8 @@
 import logging
+import operator
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,11 +59,17 @@ def empty_footprints(emb, users, attack):
 
 def step(emb, users, attack, spec, streams, participation=1.0, footprints=None):
     """run_round at the suite's learning rate, from an empty HiCS bank, marking
-    ``footprints`` (a fresh empty matrix when not given)."""
-    bank = np.zeros_like(emb.matrix)
+    ``footprints`` (a fresh empty matrix when not given); returns the next
+    model and the round's ledger."""
     if footprints is None:
         footprints = empty_footprints(emb, users, attack)
-    return run_round(emb, users, attack, spec, streams, 0.05, participation, bank, footprints)
+    run = SimpleNamespace(
+        embeddings=emb, users=users, attack=attack, spec=spec, streams=streams,
+        config=small_config(participation=participation), bank=np.zeros_like(emb.matrix),
+        footprints=footprints,
+    )
+    ledger = run_round(run)
+    return run.embeddings, ledger
 
 
 def spy_uploads(monkeypatch):
@@ -375,6 +383,56 @@ def test_experiment_deterministic_repeat():
     assert np.array_equal(a.final_embeddings.matrix, b.final_embeddings.matrix)
 
 
+def test_an_experiment_runs_once():
+    """A second run() would train on from the last round and label its metrics
+    from round 1 again; it is refused before it touches the run's state."""
+    experiment = Experiment(small_config())
+    experiment.run()
+    final, users = experiment.embeddings, experiment.users.embeddings.copy()
+    with pytest.raises(RuntimeError, match="runs once"):
+        experiment.run()
+    assert experiment.embeddings is final
+    assert np.array_equal(experiment.users.embeddings, users)
+
+
+def ledger_fields(ledger):
+    rows = None if ledger.target_rows is None else ledger.target_rows.tolist()
+    return ledger.round, ledger.fallbacks.tolist(), ledger.target_users.tolist(), rows
+
+
+def test_the_experiment_is_the_whole_carried_state():
+    """Experiment B stepped five rounds, then copied into a fresh Experiment C:
+    item and user embeddings, HiCS bank, footprints, and the attack's snapshot
+    and scaled target. Stepped on to the end, B and C agree bit for bit, so no
+    round carries anything else, here under HiCS's bank, a crafted attack that
+    snapshots round 3, fake noise and partial participation."""
+    attack = AttackConfig(kind="poisonfrs", fake_fraction=0.1, start_round=3, filler_count=3,
+                          noise_std=0.01)
+    config = small_config(aggregator=AggregatorSpec(rule="hics", hics_z=4), attack=attack,
+                          participation=0.6, dump_round=9)
+    b, c = Experiment(config), Experiment(config)
+    assert b.spec == replace(config.aggregator, krum_m=b.attack.num_fakes)
+    assert b.footprints.shape == (b.attack.num_genuine + b.attack.num_fakes, b.embeddings.num_items)
+    for _ in range(5):
+        run_round(b)
+    assert b.bank.any() and b.attack.snapshot is not None  # both carry into round 6
+
+    c.embeddings = ItemEmbeddings(b.embeddings.round, b.embeddings.matrix.copy())
+    c.users.embeddings[:] = b.users.embeddings
+    c.bank[:] = b.bank
+    c.footprints[:] = b.footprints
+    c.attack.snapshot = b.attack.snapshot.copy()
+    c.attack.scaled_target = b.attack.scaled_target.copy()
+    ledgers = [[ledger_fields(run_round(run)) for _ in range(6, config.rounds + 1)] for run in (b, c)]
+
+    assert ledgers[0] == ledgers[1]
+    assert any(rows is not None for *_, rows in ledgers[0])  # the dump round's rows are compared
+    assert b.embeddings.round == c.embeddings.round == config.rounds + 1
+    for carried in ("embeddings.matrix", "users.embeddings", "bank", "footprints"):
+        first, second = (operator.attrgetter(carried)(run) for run in (b, c))
+        assert first.tobytes() == second.tobytes(), carried
+
+
 def test_experiment_thread_count_does_not_change_results():
     # A round trains every participant in one array pass, so 1 is the only
     # thread count: it matches the default run, and any other is refused
@@ -462,9 +520,9 @@ def test_result_profiles_round_trip_the_split(tmp_path, monkeypatch):
     tables = []
     real_round = federation.run_round
 
-    def spy_round(emb, users, *args, **kwargs):
-        tables.append(users)
-        return real_round(emb, users, *args, **kwargs)
+    def spy_round(run):
+        tables.append(run.users)
+        return real_round(run)
 
     monkeypatch.setattr(federation, "run_round", spy_round)
     result = run_experiment(config)
